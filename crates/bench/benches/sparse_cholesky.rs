@@ -6,7 +6,7 @@
 //! quadratic in the profile, so the ordering is what makes the transient
 //! engine's factor-once strategy viable.
 
-use voltsense::sparse::{cg, CsrMatrix, EnvelopeCholesky, TripletMatrix};
+use voltsense::sparse::{CsrMatrix, EnvelopeCholesky, TripletMatrix};
 use voltsense_testkit::bench::BenchTimer;
 
 /// Grid Laplacian with pads, numbered row-major across the *long* axis —
@@ -55,22 +55,6 @@ fn main() {
         chol.solve_into(&b, &mut x, &mut scratch).expect("solve");
         x[0]
     });
-
-    // Ablation: Jacobi vs IC(0) preconditioning for the iterative path.
-    let b: Vec<f64> = (0..a.rows()).map(|i| ((i % 11) as f64) - 5.0).collect();
-    for (label, pre) in [
-        ("jacobi", cg::Preconditioner::Jacobi),
-        ("ic0", cg::Preconditioner::IncompleteCholesky),
-    ] {
-        let opts = cg::CgOptions {
-            tolerance: 1e-10,
-            preconditioner: pre,
-            ..cg::CgOptions::default()
-        };
-        timer.bench(&format!("cg_preconditioner/{label}"), || {
-            cg::solve(&a, &b, &opts).expect("converges").iterations
-        });
-    }
 
     timer.finish().expect("write bench report");
 }

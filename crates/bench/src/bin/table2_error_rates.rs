@@ -112,12 +112,4 @@ fn main() {
         me_p / me_e.max(1e-12),
         te_p / te_e.max(1e-12)
     );
-
-    // Under VOLTSENSE_TELEMETRY_LINGER the endpoint stays scrapeable until
-    // the stop file appears — the CI profiling smoke scrapes /profile in
-    // this window (the sampler keeps running, so the profile is final-ish
-    // but still live).
-    if let Some(obs) = &_telemetry {
-        obs.linger_from_env();
-    }
 }

@@ -255,13 +255,14 @@ pub fn from_json(text: &str) -> Result<(SessionKey, EmergencyMonitor), Checkpoin
     Ok((key, monitor))
 }
 
-/// Atomically write one session's checkpoint into `dir` (created if
-/// missing): write `<name>.tmp`, then rename over the final path.
-pub fn store(dir: &Path, key: SessionKey, monitor: &EmergencyMonitor) -> Result<PathBuf, CheckpointError> {
+/// Atomically write one session's already-serialized checkpoint
+/// ([`to_json`]) into `dir` (created if missing): write `<name>.tmp`,
+/// then rename over the final path.
+pub fn write(dir: &Path, key: SessionKey, json: &str) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(file_name(key));
     let tmp = dir.join(format!("{}.tmp", file_name(key)));
-    std::fs::write(&tmp, to_json(key, monitor))?;
+    std::fs::write(&tmp, json)?;
     std::fs::rename(&tmp, &path)?;
     Ok(path)
 }

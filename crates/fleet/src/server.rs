@@ -514,26 +514,21 @@ impl Drop for FleetServer {
 fn write_checkpoint(shared: &Shared, dir: &std::path::Path, session: &mut Session) {
     let key = session.key();
     let Some(json) = session.take_checkpoint() else { return };
-    let path = dir.join(crate::checkpoint::file_name(key));
-    let tmp = dir.join(format!("{}.tmp", crate::checkpoint::file_name(key)));
-    let result = std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&tmp, &json))
-        .and_then(|()| std::fs::rename(&tmp, &path));
-    match result {
-        Ok(()) => {
+    match crate::checkpoint::write(dir, key, &json) {
+        Ok(_) => {
             shared.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
             metrics::count(key.tenant, metrics::CHECKPOINTS_TOTAL, "checkpoints", 1);
             *shared.last_checkpoint.lock().unwrap_or_else(|e| e.into_inner()) =
                 Some(Instant::now());
         }
-        Err(e) => {
+        // The detail is in the counters; stderr would flood under chaos.
+        Err(_) => {
             shared.counters.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
             telemetry::counter(metrics::CHECKPOINT_FAILURES_TOTAL, 1);
             telemetry::event(
                 "fleet.checkpoint_failed",
                 &[("tenant", key.tenant as f64), ("chip", key.chip as f64)],
             );
-            let _ = e; // detail is in the counters; stderr would flood under chaos
         }
     }
 }

@@ -155,7 +155,10 @@ fn no_chaos_schedule_crashes_crosses_tenants_or_clears_a_latch() {
 
         // --- property (a): nothing crashed. Every session is live (none
         // quarantined), the server still answers, and the only alarms in
-        // the fleet are the droop chips we droop'ed.
+        // the fleet are the droop chips we droop'ed. Stop first (joining
+        // readers and dispatcher) so frames still in flight cannot move
+        // the counters between the reads below.
+        server.stop();
         let stats = server.stats();
         assert_eq!(stats.quarantined, 0, "chaos must never panic a session: {stats:?}");
         assert_eq!(
@@ -193,6 +196,5 @@ fn no_chaos_schedule_crashes_crosses_tenants_or_clears_a_latch() {
             Some(mirror.is_alarmed()),
             "control session state matches its offline mirror"
         );
-        server.stop();
     });
 }

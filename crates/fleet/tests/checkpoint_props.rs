@@ -97,7 +97,7 @@ fn store_and_load_are_atomic_per_session_files() {
     monitor.observe(&[0.5]).unwrap();
     assert!(monitor.is_alarmed());
     let key = SessionKey { tenant: 9, chip: 1 };
-    let path = checkpoint::store(&dir, key, &monitor).expect("store");
+    let path = checkpoint::write(&dir, key, &checkpoint::to_json(key, &monitor)).expect("write");
     assert!(path.ends_with("tenant_9_chip_1.json"));
     let restored = checkpoint::load(&dir, key).expect("load").expect("present");
     assert!(restored.is_alarmed(), "latched alarm survives the disk");

@@ -94,6 +94,10 @@ fn trace_ids_and_sampling_are_pure_functions_of_identity() {
                 .unwrap();
         }
         await_recorded(&server, tenant, n as u64);
+        // Read both ledgers only once the server is quiescent: `stop`
+        // joins the readers and the dispatcher, so no decision can land
+        // between the trace read and the SLO read below.
+        server.stop();
 
         let traces = server.traces();
         let stats = traces.stats(tenant);
@@ -139,7 +143,6 @@ fn trace_ids_and_sampling_are_pure_functions_of_identity() {
         assert_eq!(slo.availability_counts(tenant), (n as u64, 0));
         let (good, bad) = slo.latency_counts(tenant);
         assert_eq!(good + bad, n as u64, "one latency event per reading");
-        server.stop();
     });
 }
 
@@ -174,6 +177,10 @@ fn chaos_duplicates_and_reorders_never_double_count() {
             client.drain_responses(Duration::from_millis(1));
         }
         await_recorded(&server, 9, N + 1);
+        // A trailing sentinel or duplicate may still be in flight; stop
+        // the server (joining readers and dispatcher) so the trace stats
+        // and the SLO ledger below describe the same population.
+        server.stop();
 
         let stats = server.traces().stats(9);
         let dup = client.chaos_stats().duplicates;
@@ -205,7 +212,6 @@ fn chaos_duplicates_and_reorders_never_double_count() {
         for rec in server.traces().sampled(9) {
             assert_eq!(rec.ctx.seq % EVERY, 0);
         }
-        server.stop();
     });
 }
 

@@ -4,16 +4,13 @@
 //!   equations of the OLS refit, Gram matrices of selected sensors).
 //! * [`Qr`] — Householder QR, the numerically robust path for least squares
 //!   when the Gram matrix is ill-conditioned.
-//! * [`Lu`] — partially-pivoted LU for general square systems.
 //! * [`SymmetricEigen`] — Jacobi eigendecomposition for spectral
 //!   diagnostics (sensor-Gram conditioning, covariance spectra).
 
 mod cholesky;
 mod eigen;
-mod lu;
 mod qr;
 
 pub use cholesky::Cholesky;
 pub use eigen::SymmetricEigen;
-pub use lu::Lu;
 pub use qr::Qr;

@@ -5,14 +5,13 @@
 //!
 //! * [`Matrix`] — a row-major dense matrix with the usual arithmetic,
 //!   slicing and reduction operations.
-//! * [`decomp`] — Cholesky, Householder QR and partially-pivoted LU
-//!   factorizations with solve routines.
+//! * [`decomp`] — Cholesky and Householder QR factorizations with solve
+//!   routines, plus a Jacobi symmetric eigensolver.
 //! * [`lstsq`] — ordinary and ridge least squares, with or without an
 //!   intercept, built on the factorizations.
 //! * [`stats`] — per-row means/standard deviations, the [`stats::Normalizer`]
 //!   used to form the paper's `Z`/`G` matrices, and correlation helpers.
-//! * [`vec_ops`] — small slice kernels (dot, norms, axpy) shared by the
-//!   iterative solvers in `voltsense-sparse` and `voltsense-grouplasso`.
+//! * [`vec_ops`] — small slice kernels (dot, norms, axpy, mean).
 //!
 //! # Example
 //!

@@ -1,8 +1,7 @@
 //! Small dense kernels on `&[f64]` slices.
 //!
-//! These are shared by the iterative solvers in `voltsense-sparse`
-//! (conjugate gradient) and `voltsense-grouplasso` (BCD / FISTA), which work
-//! on flat slices rather than [`crate::Matrix`] values for speed.
+//! Helpers for code that works on flat slices rather than
+//! [`crate::Matrix`] values.
 
 /// Dot product of two slices.
 ///

@@ -1,5 +1,5 @@
 use voltsense_floorplan::{ChipFloorplan, NodeSite};
-use voltsense_sparse::{cg, CsrMatrix, TripletMatrix};
+use voltsense_sparse::{CsrMatrix, EnvelopeCholesky, TripletMatrix};
 
 use crate::{GridConfig, PowerGridError};
 
@@ -229,20 +229,9 @@ impl GridModel {
             t.stamp_grounded_conductance(pad.node, g);
             rhs[pad.node] += g * self.config.vdd;
         }
-        let a = t.to_csr();
-        // CG is fine for a one-off solve; the transient path uses the
-        // direct factorization.
-        let sol = cg::solve(
-            &a,
-            &rhs,
-            &cg::CgOptions {
-                max_iterations: Some(20 * n),
-                tolerance: 1e-12,
-                // IC(0) pays for itself on the one-off DC solve too.
-                preconditioner: cg::Preconditioner::IncompleteCholesky,
-            },
-        )?;
-        Ok(sol.x)
+        // The same RCM-ordered envelope factorization the transient path
+        // uses; the pads make the system SPD.
+        Ok(EnvelopeCholesky::factor(&t.to_csr())?.solve(&rhs)?)
     }
 
     /// DC pad currents consistent with a DC node-voltage solution, used to

@@ -280,9 +280,12 @@ mod tests {
         let chol = EnvelopeCholesky::factor(&a).unwrap();
         let b: Vec<f64> = (0..20).map(|i| (i as f64 * 0.37).sin()).collect();
         let x = chol.solve(&b).unwrap();
+        // Dense Cholesky on the same SPD matrix is the reference.
         let dense = a.to_dense();
-        let lu = voltsense_linalg::decomp::Lu::new(&dense).unwrap();
-        let x_ref = lu.solve(&b).unwrap();
+        let x_ref = voltsense_linalg::decomp::Cholesky::new(&dense)
+            .unwrap()
+            .solve(&b)
+            .unwrap();
         for (a, b) in x.iter().zip(&x_ref) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }

@@ -36,13 +36,6 @@ pub enum SparseError {
         /// Pivot value.
         pivot: f64,
     },
-    /// An iterative solver failed to reach the requested tolerance.
-    DidNotConverge {
-        /// Iterations performed.
-        iterations: usize,
-        /// Final residual norm relative to the right-hand side.
-        relative_residual: f64,
-    },
     /// Input contained NaN or infinity.
     NonFinite {
         /// Description of the offending input.
@@ -68,14 +61,6 @@ impl fmt::Display for SparseError {
                 f,
                 "matrix is not positive definite: pivot {pivot:.3e} at index {index}"
             ),
-            SparseError::DidNotConverge {
-                iterations,
-                relative_residual,
-            } => write!(
-                f,
-                "iterative solver did not converge after {iterations} iterations \
-                 (relative residual {relative_residual:.3e})"
-            ),
             SparseError::NonFinite { what } => {
                 write!(f, "non-finite value encountered in {what}")
             }
@@ -97,11 +82,6 @@ mod tests {
             shape: (4, 4),
         };
         assert!(err.to_string().contains("(5, 6)"));
-        let err = SparseError::DidNotConverge {
-            iterations: 100,
-            relative_residual: 1e-3,
-        };
-        assert!(err.to_string().contains("100"));
     }
 
     #[test]

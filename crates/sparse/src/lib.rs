@@ -11,10 +11,9 @@
 //!   products.
 //! * [`ordering`] — reverse Cuthill–McKee bandwidth reduction.
 //! * [`EnvelopeCholesky`] — a profile (skyline) Cholesky factorization;
-//!   after RCM ordering a 2-D grid matrix has a narrow envelope, so
-//!   factor-once/solve-per-timestep transient simulation is cheap.
-//! * [`cg`] — Jacobi-preconditioned conjugate gradient, used for
-//!   cross-validation of the direct solver and for one-off DC solves.
+//!   after RCM ordering a 2-D grid matrix has a narrow envelope, so the
+//!   DC operating point and factor-once/solve-per-timestep transient
+//!   simulation are both cheap.
 //!
 //! # Example
 //!
@@ -40,16 +39,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cg;
 mod csr;
 mod envelope;
 mod error;
-mod ic;
 pub mod ordering;
 mod triplet;
 
 pub use csr::CsrMatrix;
 pub use envelope::EnvelopeCholesky;
 pub use error::SparseError;
-pub use ic::IncompleteCholesky;
 pub use triplet::TripletMatrix;

@@ -11,7 +11,7 @@
 //! * **exact aggregates** — counters, gauges, and log-scale histograms are
 //!   aggregated exactly (never sampled), so `/metrics` scrapes and
 //!   incident files report true totals and true quantiles;
-//! * **decimated events** — high-rate event streams (per-CG-iteration,
+//! * **decimated events** — high-rate event streams (per-solver-sweep,
 //!   per-`observe()` call) are admitted through a deterministic per-name
 //!   stride that doubles as a name's volume grows, so a chatty signal
 //!   cannot flush rarer, more interesting events out of the ring;

@@ -28,7 +28,7 @@
 //!   "fields": {"predicted_min": 0.83, "threshold": 0.85},
 //!   "failed_sensors": [2],
 //!   "gated_sensors": [],
-//!   "sampling": [{"name": "cg.iter", "seen": 9000, "kept": 5120, "stride": 4}],
+//!   "sampling": [{"name": "bcd.sweep", "seen": 9000, "kept": 5120, "stride": 4}],
 //!   "ring": [{"seq": 0, "name": "...", "at_ns": 1, "fields": {...}}, ...],
 //!   "metrics": { "schema": "voltsense-metrics-v1", ... },
 //!   "traces": { "schema": "voltsense-trace-v1", ... }

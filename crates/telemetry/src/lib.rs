@@ -225,11 +225,6 @@ impl TelemetryGuard {
     pub fn trace_path(&self) -> PathBuf {
         with_extension(&self.prefix, ".trace.json")
     }
-
-    /// The capture so far (mainly for tests).
-    pub fn snapshot(&self) -> Snapshot {
-        self.recorder.snapshot(&self.suite)
-    }
 }
 
 fn with_extension(prefix: &Path, suffix: &str) -> PathBuf {
@@ -312,57 +307,18 @@ fn export_guard_from_env(suite: &str) -> Option<TelemetryGuard> {
 /// optional full-detail export capture, and the optional live endpoint.
 pub struct ObservabilityGuard {
     flight: Arc<FlightRecorder>,
-    /// Declared before `export` so the endpoint stops before the export
+    /// Declared before `_export` so the endpoint stops before the export
     /// capture is finalized on drop.
-    server: Option<serve::Server>,
-    export: Option<TelemetryGuard>,
-    /// Declared after `server` so the final profile stays scrapeable
-    /// through a linger; the sampler thread stops on guard drop.
-    sampler: Option<profile::SamplerGuard>,
+    _server: Option<serve::Server>,
+    _export: Option<TelemetryGuard>,
+    /// The continuous profiler's sampler thread; stops on guard drop.
+    _sampler: Option<profile::SamplerGuard>,
 }
 
 impl ObservabilityGuard {
     /// The always-on flight recorder.
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         &self.flight
-    }
-
-    /// Bound address of the live endpoint, when one was requested.
-    pub fn server_addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(serve::Server::addr)
-    }
-
-    /// Whether a `VOLTSENSE_TELEMETRY` export capture is also active.
-    pub fn exporting(&self) -> bool {
-        self.export.is_some()
-    }
-
-    /// The continuous profiler, when `VOLTSENSE_PROFILE` started one.
-    pub fn profiler(&self) -> Option<&Arc<profile::Profiler>> {
-        self.sampler.as_ref().map(profile::SamplerGuard::profiler)
-    }
-
-    /// Keep the process (and its endpoint) alive for
-    /// `VOLTSENSE_TELEMETRY_LINGER` seconds so an external scraper can
-    /// collect final metrics. Returns immediately when the knob is unset
-    /// or no endpoint is running; ends early once the file named by
-    /// `VOLTSENSE_TELEMETRY_STOP` appears (CI creates it after scraping).
-    pub fn linger_from_env(&self) {
-        let Some(secs) = env::parse::<f64>("VOLTSENSE_TELEMETRY_LINGER") else {
-            return;
-        };
-        if self.server.is_none() || secs <= 0.0 || secs.is_nan() {
-            return;
-        }
-        let stop_file = env::value("VOLTSENSE_TELEMETRY_STOP").map(PathBuf::from);
-        eprintln!("[telemetry] lingering up to {secs}s for scrapes");
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs_f64(secs);
-        while std::time::Instant::now() < deadline {
-            if stop_file.as_ref().is_some_and(|p| p.exists()) {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
     }
 }
 
@@ -421,8 +377,8 @@ pub fn init_always_on(suite: &str) -> ObservabilityGuard {
     let sampler = profile::start_from_env();
     ObservabilityGuard {
         flight,
-        export,
-        server,
-        sampler,
+        _server: server,
+        _export: export,
+        _sampler: sampler,
     }
 }

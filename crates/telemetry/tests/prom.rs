@@ -7,7 +7,7 @@ use voltsense_telemetry::prom::{encode, escape_label_value, sanitize_name};
 use voltsense_telemetry::{MemoryRecorder, Recorder, Snapshot};
 use voltsense_testkit::{forall, vec_f64};
 
-/// Minimal exposition-line parser (the same grammar `scrape_endpoint`
+/// Minimal exposition-line parser (the same grammar `endpoint_contract.rs`
 /// enforces in CI): `name[{labels}] value` → (name, labels, value).
 fn parse_sample(line: &str) -> (String, Vec<(String, String)>, f64) {
     let (name_part, value_part) = line.rsplit_once(' ').expect("sample has a value");

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // trips. VOLTSENSE_TELEMETRY additionally exports a full snapshot +
     // Chrome trace on drop; VOLTSENSE_TELEMETRY_ADDR serves live
     // /metrics and /snapshot scrapes (see README).
-    let telemetry = voltsense::telemetry::init_always_on("emergency_monitor");
+    let _telemetry = voltsense::telemetry::init_always_on("emergency_monitor");
     let scenario = Scenario::small()?;
 
     // Train on four benchmarks; monitor a *different* one (x264, the most
@@ -140,10 +140,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nthe fault-aware monitor flagged the stuck sensor and hot-swapped to \
          the leave-it-out model; the naive monitor trusted it."
     );
-
-    // Hold the endpoint open for external scrapers when CI (or a human)
-    // asked for it; a no-op unless VOLTSENSE_TELEMETRY_LINGER is set.
-    telemetry.linger_from_env();
     Ok(())
 }
 
