@@ -21,6 +21,12 @@ VOLTSENSE_THREADS=1 cargo test -q --offline
 echo "==> cargo test -q --offline (all targets + doctests, VOLTSENSE_THREADS=4)"
 VOLTSENSE_THREADS=4 cargo test -q --offline
 
+echo "==> voltbench tests (the benchmark's own package, lockfile unchanged)"
+# voltbench is a package outside the workspace that calls the public API;
+# testing it here turns an API break into a CI failure. --locked fails
+# instead of rewriting voltbench/Cargo.lock.
+cargo test -q --offline --locked --manifest-path voltbench/Cargo.toml
+
 echo "==> cargo bench --no-run --offline (bench targets must compile)"
 cargo bench --no-run --offline
 

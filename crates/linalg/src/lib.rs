@@ -11,7 +11,7 @@
 //!   intercept, built on the factorizations.
 //! * [`stats`] — per-row means/standard deviations, the [`stats::Normalizer`]
 //!   used to form the paper's `Z`/`G` matrices, and correlation helpers.
-//! * [`vec_ops`] — small slice kernels (dot, norms, axpy, mean).
+//! * [`vec_ops`] — small slice kernels (the mean).
 //!
 //! # Example
 //!

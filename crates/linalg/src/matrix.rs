@@ -671,49 +671,6 @@ impl Matrix {
                 .zip(&other.data)
                 .all(|(a, b)| (a - b).abs() <= tol)
     }
-
-    /// Horizontally concatenates `self` and `rhs` (`[self | rhs]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the row counts differ.
-    pub fn hstack(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.rows != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "hstack",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + rhs.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(rhs.row(i));
-        }
-        Ok(out)
-    }
-
-    /// Vertically concatenates `self` on top of `rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the column counts differ.
-    pub fn vstack(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != rhs.cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "vstack",
-                left: self.shape(),
-                right: rhs.shape(),
-            });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&rhs.data);
-        Ok(Matrix {
-            rows: self.rows + rhs.rows,
-            cols: self.cols,
-            data,
-        })
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -1001,25 +958,6 @@ mod tests {
     fn frobenius_norm_known() {
         let m = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
         assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stacking() {
-        let m = sample();
-        let h = m.hstack(&m).unwrap();
-        assert_eq!(h.shape(), (2, 6));
-        assert_eq!(h.row(0), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
-        let v = m.vstack(&m).unwrap();
-        assert_eq!(v.shape(), (4, 3));
-        assert_eq!(v.row(3), &[4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn stacking_mismatch() {
-        let m = sample();
-        let t = m.transpose();
-        assert!(m.hstack(&t).is_err());
-        assert!(m.vstack(&t).is_err());
     }
 
     #[test]

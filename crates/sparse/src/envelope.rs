@@ -42,9 +42,6 @@ pub struct EnvelopeCholesky {
     /// Row-major profile storage of L, row i holding columns
     /// `first[i]..=i`.
     lval: Vec<f64>,
-    /// Scratch buffers reused across solves (interior mutability avoided:
-    /// `solve` allocates; `solve_into` reuses caller buffers).
-    _private: (),
 }
 
 impl EnvelopeCholesky {
@@ -166,7 +163,6 @@ impl EnvelopeCholesky {
             first,
             offset,
             lval,
-            _private: (),
         })
     }
 

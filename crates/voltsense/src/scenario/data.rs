@@ -57,12 +57,27 @@ pub struct ScenarioData {
     pub sample_benchmark: Vec<usize>,
 }
 
+/// The waveforms of `nodes` across every benchmark: row `i` is node
+/// `nodes[i]`'s samples from each benchmark in turn. The matrix is sized
+/// once and filled in place, so assembly holds only the maps and the
+/// result (the design path's memory peak, DESIGN.md §5).
+fn concat_node_rows(maps: &[(usize, SampledMaps)], nodes: &[NodeId]) -> Matrix {
+    let total: usize = maps.iter().map(|(_, m)| m.num_samples()).sum();
+    let mut data = Vec::with_capacity(nodes.len() * total);
+    for node in nodes {
+        for (_, m) in maps {
+            data.extend_from_slice(m.maps().row(node.0));
+        }
+    }
+    Matrix::from_vec(nodes.len(), total, data).expect("one row of `total` samples per node")
+}
+
 impl ScenarioData {
     /// Assembles the dataset from per-benchmark voltage maps.
     ///
     /// Critical nodes are picked per block as the node with the lowest
-    /// voltage observed across *all* maps, then `X`/`F` are extracted and
-    /// concatenated benchmark by benchmark.
+    /// voltage observed across *all* maps, then `X`/`F` are filled with
+    /// each benchmark's samples as a column block, in `maps` order.
     ///
     /// # Errors
     ///
@@ -136,31 +151,15 @@ impl ScenarioData {
             SensorSites::Anywhere => lattice.iter().map(|(id, _)| id).collect(),
         };
 
-        // Concatenate X and F across benchmarks.
-        let mut x: Option<Matrix> = None;
-        let mut f: Option<Matrix> = None;
-        let mut sample_benchmark = Vec::new();
-        let candidate_rows: Vec<usize> = candidate_nodes.iter().map(|n| n.0).collect();
-        for (bench, m) in maps {
-            let xb = m.maps().select_rows(&candidate_rows);
-            let fb = m.critical_matrix(&critical_nodes);
-            sample_benchmark.extend(std::iter::repeat_n(*bench, m.num_samples()));
-            x = Some(match x {
-                None => xb,
-                Some(acc) => acc.hstack(&xb).map_err(|e| ScenarioError::Inconsistent {
-                    what: format!("cannot concatenate X: {e}"),
-                })?,
-            });
-            f = Some(match f {
-                None => fb,
-                Some(acc) => acc.hstack(&fb).map_err(|e| ScenarioError::Inconsistent {
-                    what: format!("cannot concatenate F: {e}"),
-                })?,
-            });
-        }
+        let x = concat_node_rows(maps, &candidate_nodes);
+        let f = concat_node_rows(maps, &critical_nodes);
+        let sample_benchmark = maps
+            .iter()
+            .flat_map(|(bench, m)| std::iter::repeat_n(*bench, m.num_samples()))
+            .collect();
         Ok(ScenarioData {
-            x: x.expect("at least one benchmark"),
-            f: f.expect("at least one benchmark"),
+            x,
+            f,
             candidate_nodes,
             critical_nodes,
             row_blocks,
