@@ -12,6 +12,25 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+echo "==> dependency policy: every locked package is in-tree"
+# Read the lockfiles, not the manifests: a registry or git dependency
+# always appears there as a `source =` line, and every in-tree package is
+# voltbench or voltsense*. voltbench/Cargo.lock is only read here.
+for lock in Cargo.lock voltbench/Cargo.lock; do
+    awk '
+        /^\[\[package\]\]$/ { in_pkg = 1; next }
+        /^\[/ { in_pkg = 0 }
+        /^source = / { print FILENAME ":" FNR ": " $0; bad = 1 }
+        in_pkg && /^name = / && $3 !~ /^"(voltbench|voltsense[^"]*)"$/ {
+            print FILENAME ":" FNR ": " $0; bad = 1
+        }
+        END { exit bad }
+    ' "$lock" || {
+        echo "ERROR: $lock locks a package from outside the repository" >&2
+        exit 1
+    }
+done
+
 echo "==> cargo clippy --workspace --all-targets (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -38,8 +57,8 @@ echo "==> parallel scaling smoke (bit-identity + machine-aware speedup gate)"
 # One rep per point keeps this fast; the binary hard-asserts bit-identity
 # across thread counts and applies a lenient speedup floor on small
 # runners (override with VOLTSENSE_MIN_SPEEDUP). Results go to a scratch
-# dir so the committed results/bench_parallel_scaling.json reference is
-# only compared against (gate below), never overwritten.
+# dir so the committed results/bench_parallel_scaling.json record is
+# never overwritten.
 VOLTSENSE_BENCH_REPS=1 TESTKIT_RESULTS_DIR="$(mktemp -d)" \
     cargo run --release --offline -p voltsense-bench --bin parallel_scaling
 
@@ -49,62 +68,11 @@ echo "==> fleet chaos smoke (seeded soak + kill -9 restart drill)"
 # (zero refits) after abort()+restart, a histogram-vs-exact-trace p99
 # agreement, and a deterministic SLO fast-burn page from the laggy
 # tenant. The observability endpoints and incident files are checked
-# in-process by the telemetry and fleet test suites above. Results go
-# to a scratch dir: the committed results/bench_fleet.json reference is
-# only compared against (gate below), never overwritten; the page's
-# incident file lands in a scratch dir too.
+# in-process by the telemetry and fleet test suites above. The binary
+# also gates the tracing and profiling overhead probes at ±30%. It writes
+# nothing under results/: checkpoints and the page's incident file go to
+# a per-run temp dir.
 VOLTSENSE_FLEET_SESSIONS=64 VOLTSENSE_FLEET_FRAMES=10000 \
-TESTKIT_RESULTS_DIR="$(mktemp -d)" VOLTSENSE_INCIDENT_DIR="$(mktemp -d)" \
     cargo run --release --offline -p voltsense-bench --bin fleet_soak
-
-if [[ "${VOLTSENSE_BENCH_GATE:-}" == 1 ]]; then
-    echo "==> bench regression gate (VOLTSENSE_BENCH_GATE=1)"
-    fresh_dir="$(mktemp -d)"
-    for ref in results/bench_*.json; do
-        name="$(basename "$ref" .json)"
-        case "$name" in
-        bench_fleet)
-            # Bin-generated report: a short soak regenerates it. Only the
-            # microbench entries live inside `benchmarks` (soak stats sit
-            # outside). The bodies are sub-µs and sampled min-of-k, but on
-            # a shared single-core runner sustained CPU steal still
-            # spreads back-to-back mins ~2x, so fleet compares at ±150%:
-            # wide enough to never flap on neighbor noise, tight enough
-            # to catch the step-change regressions (allocation blowups,
-            # accidental quadratic scans) a µs gate can honestly detect.
-            VOLTSENSE_FLEET_SESSIONS=16 VOLTSENSE_FLEET_FRAMES=2000 \
-            TESTKIT_RESULTS_DIR="$fresh_dir" \
-                cargo run --release --offline -p voltsense-bench --bin fleet_soak ||
-                continue
-            [[ -f "$fresh_dir/$name.json" ]] &&
-                cargo run --release --offline -p voltsense-bench --bin bench_compare \
-                    "$fresh_dir/$name.json" "$ref" --tolerance 1.5
-            continue
-            ;;
-        bench_parallel_scaling)
-            # Bin-generated report (not a bench target): regenerate with one
-            # rep per point. Extra tN entries on wider machines are noted by
-            # bench_compare, never gated; t1/t2/t4 always exist.
-            VOLTSENSE_BENCH_REPS=1 TESTKIT_RESULTS_DIR="$fresh_dir" \
-                cargo run --release --offline -p voltsense-bench --bin parallel_scaling ||
-                continue
-            ;;
-        *)
-            TESTKIT_BENCH_FAST=1 TESTKIT_RESULTS_DIR="$fresh_dir" \
-                cargo bench --offline -p voltsense-bench --bench "${name#bench_}" 2>/dev/null ||
-                continue
-            ;;
-        esac
-        [[ -f "$fresh_dir/$name.json" ]] &&
-            cargo run --release --offline -p voltsense-bench --bin bench_compare \
-                "$fresh_dir/$name.json" "$ref"
-    done
-fi
-
-echo "==> dependency policy: no external crates in any manifest"
-if grep -rEn 'rand|proptest|criterion' Cargo.toml crates/*/Cargo.toml; then
-    echo "ERROR: external dependency reference found in a manifest" >&2
-    exit 1
-fi
 
 echo "CI gate passed."

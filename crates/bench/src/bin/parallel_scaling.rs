@@ -19,9 +19,8 @@
 //! The speedup gate is machine-aware: at least `VOLTSENSE_MIN_SPEEDUP`
 //! (default 1.0 with ≥ 4 cores, 0.6 below — a 1-core runner cannot speed
 //! up, only pay overhead) must be reached by each workload's best thread
-//! count. Speedups are reported in the JSON but kept *out* of the
-//! `benchmarks` array, so the ±30% `bench_compare` gate sees only the
-//! per-thread-count medians.
+//! count. Speedups are reported in the JSON beside, not inside, the
+//! `benchmarks` array of per-thread-count medians.
 //!
 //! Run with: `cargo run --release -p voltsense-bench --bin parallel_scaling`
 //! (env: `VOLTSENSE_BENCH_REPS` to change the reps-per-median, default 3).
@@ -207,9 +206,8 @@ fn to_json(
         counts.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
     ));
     s.push_str("  \"bit_identical\": true,\n");
-    // Speedups live OUTSIDE the benchmarks array on purpose: bench_compare
-    // gates every `benchmarks` entry at ±30%, and a speedup ratio on a
-    // noisy runner would flap the gate without measuring a regression.
+    // Speedups live OUTSIDE the benchmarks array: they are ratios, not
+    // the timed medians every `benchmarks` entry holds.
     s.push_str("  \"speedups\": {\n");
     let names: Vec<&'static str> = {
         let mut seen = Vec::new();

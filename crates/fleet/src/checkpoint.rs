@@ -12,10 +12,15 @@
 //! as JSON *strings* because the in-tree parser reads numbers as `f64`,
 //! which silently rounds above 2^53.
 //!
-//! Writes are atomic (`.tmp` + rename) so a crash mid-write leaves the
-//! previous checkpoint intact, never a torn file.
+//! Writes are atomic and durable: the `.tmp` file is synced before it is
+//! renamed over the final path, and the directory is synced after, so
+//! neither a process crash nor an OS crash leaves a torn file or a rename
+//! that landed before its data. No test covers the OS-crash half (torn
+//! writes, ENOSPC, rename-before-data need a fault-injecting filesystem
+//! shim); the kill -9 half is covered by the restart tests.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use voltsense_core::{EmergencyMonitor, MonitorCheckpoint, MonitorStats, VoltageMapModel};
@@ -255,15 +260,21 @@ pub fn from_json(text: &str) -> Result<(SessionKey, EmergencyMonitor), Checkpoin
     Ok((key, monitor))
 }
 
-/// Atomically write one session's already-serialized checkpoint
-/// ([`to_json`]) into `dir` (created if missing): write `<name>.tmp`,
-/// then rename over the final path.
+/// Atomically and durably write one session's already-serialized
+/// checkpoint ([`to_json`]) into `dir` (created if missing): write
+/// `<name>.tmp` and sync it, rename it over the final path, then sync
+/// `dir` so the rename itself is on disk. Any error is returned; the
+/// server degrades it to a `checkpoint_failures` count.
 pub fn write(dir: &Path, key: SessionKey, json: &str) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(file_name(key));
     let tmp = dir.join(format!("{}.tmp", file_name(key)));
-    std::fs::write(&tmp, json)?;
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(json.as_bytes())?;
+    file.sync_all()?;
+    drop(file);
     std::fs::rename(&tmp, &path)?;
+    std::fs::File::open(dir)?.sync_all()?;
     Ok(path)
 }
 
