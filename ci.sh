@@ -34,6 +34,10 @@ done
 echo "==> cargo clippy --workspace --all-targets (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# Keeps intra-doc links resolvable and off private items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo test -q --offline (all targets + doctests, VOLTSENSE_THREADS=1)"
 VOLTSENSE_THREADS=1 cargo test -q --offline
 

@@ -28,7 +28,7 @@
 //!    `observe_prepared`, or the raw readings through `observe` for
 //!    sequential items. The decide stage (flags, checkpoint policy,
 //!    counters, trace drafts, spare-buffer recycling) is the *same code*
-//!    as the sequential drain ([`Session::apply_decision`]), which is
+//!    as the sequential drain (`Session::apply_decision`), which is
 //!    what keeps the two paths byte-identical. A monitor panic
 //!    quarantines its session mid-scatter; the session's remaining items
 //!    this pass are abandoned, mirroring how a panic aborts the rest of a

@@ -4,7 +4,7 @@
 //! outbound frames the way a hostile network would: disconnects, partial
 //! frames, corrupted bytes (length prefixes included), duplicated and
 //! reordered frames, and stalls. Every decision comes from a
-//! [`GaussianRng`](voltsense_workload::GaussianRng) stream seeded by
+//! [`GaussianRng`] stream seeded by
 //! [`ChaosConfig::seed`], so a failing soak replays bit-identically from
 //! its seed — the same philosophy as `crates/faults`, one layer down the
 //! stack (transport bytes instead of sensor values).

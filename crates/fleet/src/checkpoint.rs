@@ -69,11 +69,24 @@ pub fn file_name(key: SessionKey) -> String {
     format!("tenant_{}_chip_{}.json", key.tenant, key.chip)
 }
 
-fn fmt_f64(v: f64) -> String {
+/// Append `v` to `out` in shortest round-trip form, or `null` when it is
+/// not finite. Writing straight into the document buffer spares one
+/// `String` per number.
+fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".into()
+        out.push_str("null");
+    }
+}
+
+/// Append `values` to `out` as comma-separated JSON numbers.
+fn push_f64s(out: &mut String, values: impl IntoIterator<Item = f64>) {
+    for (i, v) in values.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_f64(out, v);
     }
 }
 
@@ -81,22 +94,23 @@ fn fmt_f64(v: f64) -> String {
 pub fn to_json(key: SessionKey, monitor: &EmergencyMonitor) -> String {
     let model = monitor.model();
     let fit = model.linear_fit();
+    let coefficients = &fit.coefficients;
     let cp = monitor.checkpoint();
-    let mut out = String::with_capacity(1024);
+    // About 20 bytes per shortest-form float; one reservation up front
+    // instead of a doubling chain through the coefficient block.
+    let mut out = String::with_capacity(
+        1024 + 24 * (coefficients.rows() * coefficients.cols() + fit.intercept.len()),
+    );
     let _ = write!(
         out,
         "{{\"schema\":\"{SCHEMA}\",\"tenant\":\"{}\",\"chip\":\"{}\",",
         key.tenant, key.chip
     );
-    let _ = write!(
-        out,
-        "\"threshold\":{},\"persistence\":{},\"release_margin\":{},\"consecutive\":{},\"asserted\":{},",
-        fmt_f64(cp.threshold),
-        cp.persistence,
-        fmt_f64(cp.release_margin),
-        cp.consecutive,
-        cp.asserted
-    );
+    out.push_str("\"threshold\":");
+    push_f64(&mut out, cp.threshold);
+    let _ = write!(out, ",\"persistence\":{},\"release_margin\":", cp.persistence);
+    push_f64(&mut out, cp.release_margin);
+    let _ = write!(out, ",\"consecutive\":{},\"asserted\":{},", cp.consecutive, cp.asserted);
     let s = cp.stats;
     let _ = write!(
         out,
@@ -120,27 +134,19 @@ pub fn to_json(key: SessionKey, monitor: &EmergencyMonitor) -> String {
         out,
         "],\"num_candidates\":{},\"rows\":{},\"cols\":{},\"coefficients\":[",
         model.num_candidates(),
-        fit.coefficients.rows(),
-        fit.coefficients.cols()
+        coefficients.rows(),
+        coefficients.cols()
     );
-    let mut first = true;
-    for i in 0..fit.coefficients.rows() {
-        for j in 0..fit.coefficients.cols() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&fmt_f64(fit.coefficients[(i, j)]));
-        }
-    }
+    // Row-major, the order `Matrix::from_vec` reads back.
+    push_f64s(
+        &mut out,
+        (0..coefficients.rows()).flat_map(|i| coefficients.row(i).iter().copied()),
+    );
     out.push_str("],\"intercept\":[");
-    for (i, v) in fit.intercept.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&fmt_f64(*v));
-    }
-    let _ = write!(out, "],\"rms_residual\":{}}}}}", fmt_f64(fit.rms_residual));
+    push_f64s(&mut out, fit.intercept.iter().copied());
+    out.push_str("],\"rms_residual\":");
+    push_f64(&mut out, fit.rms_residual);
+    out.push_str("}}");
     out
 }
 
@@ -297,4 +303,59 @@ pub fn load(dir: &Path, key: SessionKey) -> Result<Option<EmergencyMonitor>, Che
         )));
     }
     Ok(Some(monitor))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A hand-built two-target, two-sensor monitor whose numbers exercise
+    /// the float formatter's edge cases: a non-dyadic decimal, negative
+    /// zero, the smallest subnormal and the largest finite `f64`.
+    fn edge_case_monitor() -> EmergencyMonitor {
+        let model = VoltageMapModel::from_parts(
+            vec![0, 2],
+            3,
+            Matrix::from_rows(&[&[0.1, -0.0], &[f64::from_bits(1), f64::MAX]]).unwrap(),
+            vec![0.85, -1.5e-7],
+            0.004,
+        )
+        .unwrap();
+        let mut monitor = EmergencyMonitor::new(model, 0.85, 2, 0.02).unwrap();
+        // Two sub-threshold predictions latch the alarm, so the state
+        // machine and every counter field hold non-default values.
+        for _ in 0..2 {
+            monitor.observe(&[0.0, 0.0]).unwrap();
+        }
+        monitor
+    }
+
+    #[test]
+    fn to_json_golden_bytes() {
+        let key = SessionKey { tenant: u64::MAX, chip: 7 };
+        let got = to_json(key, &edge_case_monitor());
+        // Captured from the pre-streaming `to_json`, which formatted every
+        // float into its own `String`: the document must not change.
+        let want = concat!(
+            "{\"schema\":\"voltsense-fleet-checkpoint-v1\",",
+            "\"tenant\":\"18446744073709551615\",\"chip\":\"7\",\"threshold\":0.85,",
+            "\"persistence\":2,\"release_margin\":0.02,\"consecutive\":2,\"asserted\":true,",
+            "\"stats\":{\"samples\":\"2\",\"alarmed_samples\":\"1\",\"alarm_events\":\"1\",",
+            "\"gated_readings\":\"0\",\"sensors_failed\":\"0\",\"health_strikes\":\"0\",",
+            "\"hot_swaps\":\"0\"},\"model\":{\"sensors\":[0,2],\"num_candidates\":3,\"rows\":2,",
+            "\"cols\":2,\"coefficients\":[0.1,-0,",
+            "0.0000000000000000000000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000005,",
+            "179769313486231570000000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000",
+            "000000000000000000000000000000000000000000000000000000000000000000000000",
+            "000000000000000000000],\"intercept\":[0.85,-0.00000015],",
+            "\"rms_residual\":0.004}}",
+        );
+        assert_eq!(got, want);
+    }
 }

@@ -48,6 +48,6 @@ pub use client::{ClientError, ClientStats, FleetClient, HelloStatus, RetryPolicy
 pub use frame::{Frame, FrameDecoder, FrameError};
 pub use server::{FleetConfig, FleetServer, FleetStats, SessionFactory};
 pub use session::{
-    ChipMonitor, Drained, LadderConfig, PendingTrace, Session, SessionKey, SessionState,
-    TraceDraft,
+    CheckpointHandle, ChipMonitor, Drained, LadderConfig, PendingTrace, Session, SessionKey,
+    SessionState, TraceDraft,
 };

@@ -513,7 +513,7 @@ impl Drop for FleetServer {
 /// counters (a monitor must keep monitoring when the disk is gone).
 fn write_checkpoint(shared: &Shared, dir: &std::path::Path, session: &mut Session) {
     let key = session.key();
-    let Some(json) = session.take_checkpoint() else { return };
+    let Some(json) = session.take_checkpoint().json() else { return };
     match crate::checkpoint::write(dir, key, &json) {
         Ok(_) => {
             shared.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -673,7 +673,8 @@ fn drain_shard(shared: &Shared, shard: &Shard, sweep: bool) {
                 write_checkpoint(shared, dir, session);
             } else {
                 // No persistence configured: acknowledge the policy so
-                // the due flag doesn't pin the session dirty forever.
+                // the due flag doesn't pin the session dirty forever, and
+                // drop the handle unserialized.
                 let _ = session.take_checkpoint();
             }
         }

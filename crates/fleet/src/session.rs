@@ -202,6 +202,21 @@ pub(crate) struct QueuedBatch {
     pub(crate) trace: Option<PendingTrace>,
 }
 
+/// An acknowledged checkpoint ([`Session::take_checkpoint`]): the
+/// session's key and a borrow of its monitor, serialized on demand.
+pub struct CheckpointHandle<'a> {
+    key: SessionKey,
+    monitor: &'a dyn ChipMonitor,
+}
+
+impl CheckpointHandle<'_> {
+    /// The session's v1 checkpoint document, or `None` when its monitor
+    /// does not persist ([`ChipMonitor::checkpoint_json`]).
+    pub fn json(&self) -> Option<String> {
+        self.monitor.checkpoint_json(self.key)
+    }
+}
+
 /// Monotonic id source for [`Session::instance_id`].
 static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 
@@ -239,7 +254,7 @@ pub struct Session {
     last_activity: Instant,
     samples_since_checkpoint: usize,
     /// Set when the alarm edge or sample count makes a checkpoint due;
-    /// cleared by the server once it persists.
+    /// cleared by [`take_checkpoint`](Self::take_checkpoint).
     checkpoint_due: bool,
     /// Readings buffers spent by [`drain_into`](Self::drain_into), held
     /// for the caller to reclaim ([`take_spare`](Self::take_spare)) and
@@ -338,11 +353,14 @@ impl Session {
         self.checkpoint_due
     }
 
-    /// Serialized checkpoint, resetting the due flag and sample counter.
-    pub fn take_checkpoint(&mut self) -> Option<String> {
+    /// Acknowledge a checkpoint: reset the due flag and sample counter,
+    /// and return a handle that serializes the session only if asked
+    /// ([`CheckpointHandle::json`]). A server without a checkpoint
+    /// directory drops the handle, so it never builds the document.
+    pub fn take_checkpoint(&mut self) -> CheckpointHandle<'_> {
         self.checkpoint_due = false;
         self.samples_since_checkpoint = 0;
-        self.monitor.checkpoint_json(self.key)
+        CheckpointHandle { key: self.key, monitor: &*self.monitor }
     }
 
     /// Batches currently queued.

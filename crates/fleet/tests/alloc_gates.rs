@@ -9,6 +9,10 @@
 //! regression anywhere along the path (a fresh `Vec` per frame, a
 //! `String` per decision, a non-`_into` predict) fails with a
 //! per-iteration allocation count.
+//!
+//! Acknowledging a due checkpoint is gated the same way: a server without
+//! a checkpoint directory takes the checkpoint on every alarm edge, and
+//! that must not build the document it will never write.
 
 voltsense_telemetry::install_counting_allocator!();
 
@@ -117,6 +121,48 @@ fn batched_gather_gemm_scatter_is_alloc_free() {
                 .drained()
                 .iter()
                 .all(|d| matches!(d.drained.frame, Frame::Decision { .. })));
+        });
+    });
+}
+
+#[test]
+fn checkpoint_ack_is_alloc_free() {
+    with_threads(1, || {
+        // Naive monitor, persistence 1, no release margin: readings that
+        // alternate across 0.85 V assert and release on every sample, so
+        // every drain ends on an alarm edge and makes a checkpoint due.
+        let model = VoltageMapModel::from_parts(
+            vec![0],
+            1,
+            Matrix::from_rows(&[&[1.0]]).unwrap(),
+            vec![0.0],
+            0.001,
+        )
+        .unwrap();
+        let monitor = EmergencyMonitor::new(model, 0.85, 1, 0.0).unwrap();
+        let mut session = Session::new(
+            SessionKey { tenant: 3, chip: 9 },
+            Box::new(monitor) as Box<dyn ChipMonitor>,
+            LadderConfig::default(),
+        );
+        let mut out: Vec<Drained> = Vec::with_capacity(4);
+        let mut values = Some(vec![0.0]);
+        let mut reading = 0.80;
+        alloc_gate!("fleet.checkpoint_ack", 64, || {
+            let mut batch = values.take().expect("spare from previous drain");
+            batch.clear();
+            batch.push(reading);
+            reading = if reading < 0.85 { 0.90 } else { 0.80 };
+            match session.offer(0, batch, None) {
+                Offer::Queued => {}
+                other => panic!("expected Queued, got {other:?}"),
+            }
+            session.drain_into(&mut out, 8, usize::MAX);
+            assert!(matches!(out[0].frame, Frame::Decision { .. }));
+            out.clear();
+            assert!(session.checkpoint_due(), "every reading is an alarm edge");
+            let _ = session.take_checkpoint();
+            values = session.take_spare();
         });
     });
 }

@@ -222,8 +222,8 @@ fn batched_drain_is_bit_identical_to_sequential() {
                     );
                     if a.checkpoint_due() {
                         assert_eq!(
-                            a.take_checkpoint(),
-                            b.take_checkpoint(),
+                            a.take_checkpoint().json(),
+                            b.take_checkpoint().json(),
                             "slot {slot} checkpoint JSON"
                         );
                     }

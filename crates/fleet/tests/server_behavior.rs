@@ -11,7 +11,7 @@ use voltsense_fleet::chaos::ChaosConfig;
 use voltsense_fleet::client::{FleetClient, RetryPolicy};
 use voltsense_fleet::frame::{decision_flags, error_code, Frame, FrameDecoder, DEFAULT_MAX_FRAME};
 use voltsense_fleet::session::{ChipMonitor, LadderConfig, SessionKey};
-use voltsense_fleet::server::{FleetConfig, FleetServer, SessionFactory};
+use voltsense_fleet::server::{FleetConfig, FleetServer, FleetStats, SessionFactory};
 use voltsense_linalg::Matrix;
 
 /// Identity monitor: one sensor, one critical node, prediction == the
@@ -372,5 +372,87 @@ fn abort_then_restart_resumes_every_session_without_refit() {
         _ => unreachable!(),
     }
     server2.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Monitor that counts how often its checkpoint is serialized.
+struct CountingMonitor {
+    inner: EmergencyMonitor,
+    serialized: Arc<AtomicUsize>,
+}
+
+impl ChipMonitor for CountingMonitor {
+    fn observe(&mut self, readings: &[f64]) -> Result<MonitorDecision, CoreError> {
+        self.inner.observe(readings)
+    }
+    fn is_alarmed(&self) -> bool {
+        self.inner.is_alarmed()
+    }
+    fn checkpoint_json(&self, key: SessionKey) -> Option<String> {
+        self.serialized.fetch_add(1, Ordering::SeqCst);
+        Some(voltsense_fleet::checkpoint::to_json(key, &self.inner))
+    }
+}
+
+/// Serve readings that cross 0.85 V on every sample (persistence 1, no
+/// release margin, so each decision is an alarm edge), stop the server,
+/// and return its final stats with the number of serialized checkpoints.
+fn serve_alarm_edges(checkpoint_dir: Option<std::path::PathBuf>) -> (FleetStats, usize) {
+    let serialized = Arc::new(AtomicUsize::new(0));
+    let counter = serialized.clone();
+    let factory: SessionFactory = Arc::new(move |_key| {
+        let model = VoltageMapModel::from_parts(
+            vec![0],
+            1,
+            Matrix::from_rows(&[&[1.0]]).unwrap(),
+            vec![0.0],
+            0.001,
+        )
+        .unwrap();
+        let inner = EmergencyMonitor::new(model, 0.85, 1, 0.0).unwrap();
+        Ok(Box::new(CountingMonitor { inner, serialized: counter.clone() }) as Box<dyn ChipMonitor>)
+    });
+    let cfg = FleetConfig { checkpoint_dir, ..fast_cfg() };
+    let mut server = FleetServer::start(cfg, factory).unwrap();
+    let mut client = quiet_client(&server, 6);
+    client.hello(1).unwrap();
+    for seq in 0..8u64 {
+        let reading = if seq % 2 == 0 { 0.80 } else { 0.90 };
+        client.send_readings(1, seq, &[reading]).unwrap();
+        let d = client
+            .wait_for(Duration::from_secs(5), |f| {
+                matches!(f, Frame::Decision { seq: s, .. } if *s == seq)
+            })
+            .unwrap();
+        match d {
+            Frame::Decision { flags, .. } => assert_eq!(
+                flags & decision_flags::RISING != 0,
+                seq % 2 == 0,
+                "seq {seq}: every droop is a rising edge"
+            ),
+            _ => unreachable!(),
+        }
+    }
+    // Stopping joins the dispatcher (and flushes the final checkpoint),
+    // so the stats and the count below are final, not a race.
+    server.stop();
+    (server.stats(), serialized.load(Ordering::SeqCst))
+}
+
+#[test]
+fn checkpoints_are_serialized_only_when_written() {
+    let (stats, serialized) = serve_alarm_edges(None);
+    assert_eq!(stats.checkpoints + stats.checkpoint_failures, 0, "{stats:?}");
+    assert_eq!(serialized, 0, "no checkpoint dir: nothing may be serialized");
+
+    let dir = std::env::temp_dir().join(format!("fleet_ckpt_count_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (stats, serialized) = serve_alarm_edges(Some(dir.clone()));
+    assert!(stats.checkpoints > 0, "alarm edges must persist: {stats:?}");
+    assert_eq!(
+        serialized as u64,
+        stats.checkpoints + stats.checkpoint_failures,
+        "one serialization per write attempt: {stats:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -357,9 +357,9 @@ impl Matrix {
     /// Matrix product `self * rhs`.
     ///
     /// Cache-blocked i-k-j: output rows are partitioned across tasks, and
-    /// within each partition a [`MATMUL_K_BLOCK`]-row block of `rhs` is
+    /// within each partition a `MATMUL_K_BLOCK`-row block of `rhs` is
     /// swept across every partition row while it is hot in cache. Inside a
-    /// block the k-loop is unrolled [`LANE`]-wide: four `rhs` row streams
+    /// block the k-loop is unrolled `LANE`-wide: four `rhs` row streams
     /// are fused into one update per output entry, following the lane
     /// identity (`MATMUL_K_BLOCK` is a multiple of `LANE`, so chunk
     /// boundaries stay globally aligned across blocks). Blocking, row
@@ -493,7 +493,7 @@ impl Matrix {
     /// parallel path task `c` owns the *strided* row set `c, c+P, c+2P, …`
     /// — upper-triangle row `i` holds `n - i` dots, so striding balances
     /// the shrinking rows across tasks where contiguous blocks would not.
-    /// Every dot is the same lane-identity [`dot_lanes`] on both paths, so
+    /// Every dot is the same lane-identity `dot_lanes` on both paths, so
     /// the result is bit-identical at any thread count.
     pub fn gram(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.rows);

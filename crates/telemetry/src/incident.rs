@@ -4,7 +4,7 @@
 //! When an [`EmergencyMonitor`](../../voltsense_core/monitor/index.html)
 //! asserts an alarm, trips a plausibility gate, hot-swaps a fallback
 //! model, or degrades beyond recovery, it calls [`report`]. If a
-//! [`FlightRecorder`](crate::FlightRecorder) is registered
+//! [`FlightRecorder`] is registered
 //! ([`crate::flight::install`] / [`crate::init_always_on`]), the last-N
 //! window of ring events plus a full exact-metrics snapshot is written as
 //! one timestamped `voltsense-incident-v1` JSON file — so every emergency

@@ -19,7 +19,7 @@
 //!   into `flamegraph.pl` / speedscope / inferno).
 //!
 //! The writer side (push/pop) is two relaxed stores around a release
-//! fence; when no profiler is running, [`push_frame`] is a single relaxed
+//! fence; when no profiler is running, `push_frame` is a single relaxed
 //! atomic load. Threads register lazily on their first span; pool workers
 //! register eagerly so they show up even while idle.
 //!
@@ -675,7 +675,7 @@ impl Profiler {
     }
 
     /// The `voltsense-profile-v1` JSON document: sampler metadata, folded
-    /// stacks (same order as [`to_collapsed`]), per-thread sample counts,
+    /// stacks (same order as [`to_collapsed`](Self::to_collapsed)), per-thread sample counts,
     /// and the allocation-accountant state.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);

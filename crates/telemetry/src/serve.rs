@@ -30,7 +30,7 @@
 //! time, so a hostile or broken client must never wedge it. Each request
 //! head is read under a hard wall-clock deadline
 //! (`VOLTSENSE_TELEMETRY_READ_DEADLINE_MS`, default 5000) and a bounded
-//! buffer ([`MAX_HEAD`]): a slow-loris client trickling bytes gets `408
+//! buffer (`MAX_HEAD`): a slow-loris client trickling bytes gets `408
 //! Request Timeout` when the deadline expires, and an oversized request
 //! head gets `413 Content Too Large` the moment the bound is exceeded —
 //! in both cases the connection is answered and closed instead of hanging.

@@ -11,7 +11,7 @@
 //!   ([`GaussianRng`]), a macro that runs a property over N deterministic
 //!   cases, and greedy shrinking that reports the *minimal* failing input
 //!   together with the seed that replays it.
-//! * **Benchmarking** ([`bench`]) — a warmup + median-of-k wall-clock timer
+//! * **Benchmarking** ([`bench`](mod@bench)) — a warmup + median-of-k wall-clock timer
 //!   with auto-calibrated batching and JSON reports under `results/`.
 //!
 //! # Property tests

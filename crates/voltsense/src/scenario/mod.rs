@@ -4,7 +4,7 @@
 //! A [`Scenario`] owns a chip floorplan, a power-grid model and the
 //! benchmark suite. [`Scenario::collect`] simulates benchmarks and
 //! assembles the `(X, F)` training matrices; [`ScenarioData::split`]
-//! produces deterministic train/test partitions; [`percore`] fits the
+//! produces deterministic train/test partitions; `percore` fits the
 //! methodology independently per core (the granularity the paper reports).
 
 mod data;
