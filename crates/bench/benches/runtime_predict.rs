@@ -3,9 +3,12 @@
 //!
 //! The paper's Section 2.4 claims runtime evaluation is "computationally
 //! cheap"; this bench quantifies it: a Q-sensor → K-block affine map.
+//! The fleet's readings-frame codec at the same Q is priced alongside, so
+//! the framing cost around each prediction reads next to the kernels.
 //! Testkit timer, JSON report in `results/bench_runtime_predict.json`.
 
 use voltsense::core::VoltageMapModel;
+use voltsense::fleet::frame::{Frame, FrameDecoder, DEFAULT_MAX_FRAME};
 use voltsense::linalg::Matrix;
 use voltsense::workload::GaussianRng;
 use voltsense_testkit::bench::BenchTimer;
@@ -69,6 +72,28 @@ fn main() {
     }
     timer.bench("detect/q16_k240", || {
         model.detect(&candidates, 0.85).expect("detect")
+    });
+
+    // One traced Q = 16 readings frame, as a fleet client sends it:
+    // encoded into a fresh exact-size `Vec`, into a reused buffer, and
+    // decoded (push + next, the values buffer recycled as the server does).
+    let frame = Frame::Readings { chip: 7, seq: 513, trace: Some(0x5eed), values: readings };
+    timer.bench("frame/encode_readings_q16", || frame.encode());
+    let mut wire = Vec::new();
+    timer.bench("frame/encode_into_readings_q16", || {
+        wire.clear();
+        frame.encode_into(&mut wire);
+        wire.len()
+    });
+    let mut decoder = FrameDecoder::new(DEFAULT_MAX_FRAME);
+    timer.bench("frame/decode_readings_q16", || {
+        decoder.push(&wire);
+        let Some(Frame::Readings { values, .. }) = decoder.next().expect("decode") else {
+            panic!("expected one readings frame");
+        };
+        let first = values[0];
+        decoder.recycle(values);
+        first
     });
 
     timer.finish().expect("write bench report");

@@ -742,21 +742,80 @@ impl EmergencyMonitor {
     }
 }
 
-/// Worst (lowest) predicted voltage and its block. `total_cmp` keeps this
-/// panic-free even if a degenerate fit ever produced a NaN prediction.
+/// Worst (lowest) predicted voltage and its block, in `f64::total_cmp`
+/// order (panic-free even if a degenerate fit ever produced a NaN
+/// prediction), first block on ties — exactly what
+/// `min_by(total_cmp)` returns. Branch-free: a 4-lane minimum over the
+/// integer key `total_cmp` itself compares, then the first block whose
+/// key equals it (keys are injective in the bits, so that block's value
+/// is the minimum bit for bit).
 fn worst_prediction(predicted: &[f64]) -> (usize, f64) {
-    predicted
+    fn key(v: f64) -> i64 {
+        let bits = v.to_bits() as i64;
+        bits ^ (((bits >> 63) as u64 >> 1) as i64)
+    }
+    let mut lanes = [i64::MAX; 4];
+    let mut chunks = predicted.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane = (*lane).min(key(v));
+        }
+    }
+    let mut min = lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3]));
+    for &v in chunks.remainder() {
+        min = min.min(key(v));
+    }
+    let k = predicted
         .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(k, &v)| (k, v))
-        .expect("model predicts at least one block")
+        .position(|&v| key(v) == min)
+        .expect("model predicts at least one block");
+    (k, predicted[k])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use voltsense_linalg::Matrix;
+    use voltsense_testkit::{choice, forall, vec_f64};
+
+    /// Values `total_cmp` orders unusually: both zeros, both infinities,
+    /// quiet and signalling NaNs of both signs, subnormals, and repeats.
+    const WORST_POOL: [f64; 14] = [
+        0.85,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0xfff0_0000_0000_0001),
+        0.84,
+        0.85,
+        -1.0,
+        5e-324,
+        -5e-324,
+    ];
+
+    #[test]
+    fn worst_prediction_matches_the_min_by_total_cmp_oracle() {
+        let lengths: Vec<usize> = (1..=13).chain([240]).collect();
+        forall!(cases = 512, (
+            len in choice(lengths),
+            picks in vec_f64(240, 0.0, WORST_POOL.len() as f64),
+        ) => {
+            let predicted: Vec<f64> =
+                picks[..len].iter().map(|&p| WORST_POOL[p as usize]).collect();
+            let (want_k, want_v) = predicted
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(k, &v)| (k, v))
+                .unwrap();
+            let (k, v) = worst_prediction(&predicted);
+            assert_eq!((k, v.to_bits()), (want_k, want_v.to_bits()), "{predicted:?}");
+        });
+    }
 
     /// Identity-ish model: one sensor, one block, f ≈ x.
     fn model() -> VoltageMapModel {

@@ -7,12 +7,15 @@
 //! 1. **Gather** — pop up to the drain budget from every session (FIFO
 //!    per session, exactly like the sequential drain) and stage each
 //!    reading as one row of a per-model-group scratch matrix. Groups are
-//!    keyed by [`VoltageMapModel::params_fingerprint`]; the first session
-//!    to create a group donates a canonical model clone, and every other
-//!    session instance is verified *bitwise* against it once before its
-//!    readings may share the group's GEMM — a 64-bit fingerprint
-//!    collision therefore degrades that session to the sequential path
-//!    instead of ever producing wrong predictions. Readings that cannot
+//!    keyed by [`VoltageMapModel::params_fingerprint`] and found by a
+//!    scan of the plane's few groups; the first session to create a group
+//!    donates a canonical model clone, and every other session instance
+//!    is verified *bitwise* against it once before its readings may share
+//!    the group's GEMM — a 64-bit fingerprint collision therefore
+//!    degrades that session to the sequential path instead of ever
+//!    producing wrong predictions. The session remembers the group it was
+//!    verified into, so later readings route without hashing or scanning.
+//!    Readings that cannot
 //!    batch (wrong length, non-finite values, a monitor that opted out)
 //!    are routed sequentially so they produce the identical per-reading
 //!    errors the sequential drain would.
@@ -42,9 +45,9 @@
 //! [`VoltageMapModel::params_fingerprint`]: voltsense_core::VoltageMapModel::params_fingerprint
 //! [`VoltageMapModel::predict_batch_into`]: voltsense_core::VoltageMapModel::predict_batch_into
 
-use std::collections::{HashMap, HashSet};
 use std::mem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use voltsense_core::{CoreError, MonitorDecision, VoltageMapModel};
@@ -80,8 +83,8 @@ pub struct PlanePanic {
 
 /// Where one gathered reading gets its prediction from.
 enum Route {
-    /// Row `row` of the group keyed by `fp`, if that group's GEMM runs.
-    Gemm { fp: u64, row: usize },
+    /// Row `row` of group `group`, if that group's GEMM runs.
+    Gemm { group: usize, row: usize },
     /// Per-reading observe through the monitor.
     Sequential,
 }
@@ -92,19 +95,23 @@ struct WorkItem {
     seq: u64,
     values: Vec<f64>,
     trace: Option<crate::session::PendingTrace>,
-    popped: Instant,
+    /// Pop instant, read for traced readings only.
+    popped: Option<Instant>,
     route: Route,
 }
 
-/// Per-model staging: the canonical model, which session instances were
-/// verified against it, and the recycled GEMM scratch.
+/// Per-model staging: the canonical model and the recycled GEMM scratch.
+/// Sessions verified against the model record the group's index
+/// themselves (`Session::batch_group`).
 struct Group {
+    /// [`VoltageMapModel::params_fingerprint`] of `model`.
+    ///
+    /// [`VoltageMapModel::params_fingerprint`]: voltsense_core::VoltageMapModel::params_fingerprint
+    fp: u64,
     /// Canonical clone donated by the first session that formed the group.
     /// The GEMM always evaluates *this* model; members are bit-verified
     /// against it, so substituting it for their own is exact.
     model: VoltageMapModel,
-    /// Session instance ids whose parameters matched `model` bitwise.
-    verified: HashSet<u64>,
     /// `rows × Q` staged readings (row-major, recycled).
     staged: Vec<f64>,
     /// `rows × K` GEMM output (recycled).
@@ -118,10 +125,10 @@ struct Group {
 }
 
 impl Group {
-    fn new(model: VoltageMapModel) -> Self {
+    fn new(fp: u64, model: VoltageMapModel) -> Self {
         Group {
+            fp,
             model,
-            verified: HashSet::new(),
             staged: Vec::new(),
             out: Vec::new(),
             rows: 0,
@@ -157,14 +164,22 @@ impl Group {
     }
 }
 
+/// Monotonic id source for [`BatchPlane`]s, so a session's cached group
+/// index is only trusted by the plane that issued it.
+static NEXT_PLANE: AtomicU64 = AtomicU64::new(1);
+
 /// The per-shard batched prediction plane. See the module docs for the
 /// three phases and the identity argument.
 pub struct BatchPlane {
+    /// Process-unique plane id (see [`NEXT_PLANE`]).
+    id: u64,
     /// Fewest same-model rows a pass must gather before their GEMM runs;
     /// below it readings take the per-reading path. `usize::MAX` disables
     /// batching outright.
     min_batch: usize,
-    groups: HashMap<u64, Group>,
+    /// Model groups, append-only so cached indices stay valid. A shard
+    /// serves one or a few models, so lookup is a scan.
+    groups: Vec<Group>,
     items: Vec<WorkItem>,
     out: Vec<PlaneDrained>,
     panics: Vec<PlanePanic>,
@@ -175,8 +190,9 @@ impl BatchPlane {
     /// ([`FleetConfig::gemm_min_batch`](crate::FleetConfig)).
     pub fn new(min_batch: usize) -> Self {
         BatchPlane {
+            id: NEXT_PLANE.fetch_add(1, Ordering::Relaxed),
             min_batch,
-            groups: HashMap::new(),
+            groups: Vec::new(),
             items: Vec::new(),
             out: Vec::new(),
             panics: Vec::new(),
@@ -207,16 +223,19 @@ impl BatchPlane {
         self.out.clear();
         self.panics.clear();
         debug_assert!(self.items.is_empty(), "scatter consumes every item");
-        for group in self.groups.values_mut() {
+        for group in &mut self.groups {
             group.begin_pass();
         }
 
-        // Phase 1: gather.
+        // Phase 1: gather. One clock read for the whole pass feeds every
+        // session's activity clock; only traced readings read their own
+        // pop instant, because only their `shard`/`predict` stages use it.
+        let now = Instant::now();
         for (slot, session) in sessions.iter_mut().enumerate() {
             for _ in 0..budget {
-                let Some(batch) = session.pop_batch() else { break };
-                let popped = Instant::now();
-                let route = route_reading(&mut self.groups, self.min_batch, session, &batch);
+                let Some(batch) = session.pop_batch(now) else { break };
+                let popped = batch.trace.is_some().then(Instant::now);
+                let route = self.route_reading(session, &batch);
                 let QueuedBatch { seq, values, trace } = batch;
                 self.items.push(WorkItem { slot, seq, values, trace, popped, route });
             }
@@ -225,7 +244,7 @@ impl BatchPlane {
         // Phase 2: one GEMM per group that met the occupancy floor.
         let mut executed_batches = 0u64;
         let mut batched_rows = 0u64;
-        for group in self.groups.values_mut() {
+        for group in &mut self.groups {
             if group.rows == 0 || group.rows < self.min_batch {
                 continue;
             }
@@ -257,8 +276,8 @@ impl BatchPlane {
             }
             let was_alarmed = session.is_alarmed();
             let (observed, predict_ns, batched) = match item.route {
-                Route::Gemm { fp, row } => {
-                    let group = self.groups.get(&fp).expect("items only route to live groups");
+                Route::Gemm { group, row } => {
+                    let group = &self.groups[group];
                     if group.executed {
                         let k = group.model.num_targets();
                         let predicted = &group.out[row * k..(row + 1) * k];
@@ -318,43 +337,59 @@ impl BatchPlane {
     }
 }
 
-/// Decide where one popped reading gets its prediction: staged into a
-/// model group, or through the per-reading sequential path.
-fn route_reading(
-    groups: &mut HashMap<u64, Group>,
-    min_batch: usize,
-    session: &mut Session,
-    batch: &QueuedBatch,
-) -> Route {
-    if min_batch == usize::MAX {
-        return Route::Sequential;
-    }
-    let Some(fp) = session.batch_fingerprint() else {
-        return Route::Sequential;
-    };
-    let model = session.batch_model().expect("a fingerprint implies a batchable model");
-    // Wrong-length or non-finite readings take the sequential path so
-    // they raise the identical per-reading errors `observe` raises
-    // (ShapeMismatch / NonFiniteReading before any state change).
-    if batch.values.len() != model.num_sensors()
-        || batch.values.iter().any(|v| !v.is_finite())
-    {
-        return Route::Sequential;
-    }
-    let group = groups.entry(fp).or_insert_with(|| Group::new(model.clone()));
-    let instance = session.instance_id();
-    if !group.verified.contains(&instance) {
-        if !same_params(&group.model, model) {
-            // A 64-bit fingerprint collision between genuinely different
-            // models: never batch this session into the group.
+impl BatchPlane {
+    /// Decide where one popped reading gets its prediction: staged into a
+    /// model group, or through the per-reading sequential path.
+    fn route_reading(&mut self, session: &mut Session, batch: &QueuedBatch) -> Route {
+        if self.min_batch == usize::MAX {
             return Route::Sequential;
         }
-        group.verified.insert(instance);
+        let index = match session.batch_group {
+            Some((plane, index)) if plane == self.id => index,
+            _ => match self.verify_into_group(session) {
+                Some(index) => index,
+                None => return Route::Sequential,
+            },
+        };
+        let group = &mut self.groups[index];
+        // Wrong-length or non-finite readings take the sequential path so
+        // they raise the identical per-reading errors `observe` raises
+        // (ShapeMismatch / NonFiniteReading before any state change). The
+        // group's model is bitwise the session's, so its shape is too.
+        if batch.values.len() != group.model.num_sensors()
+            || batch.values.iter().any(|v| !v.is_finite())
+        {
+            return Route::Sequential;
+        }
+        let row = group.rows;
+        group.rows += 1;
+        group.staged.extend_from_slice(&batch.values);
+        Route::Gemm { group: index, row }
     }
-    let row = group.rows;
-    group.rows += 1;
-    group.staged.extend_from_slice(&batch.values);
-    Route::Gemm { fp, row }
+
+    /// First reading of a session instance on this plane: find (or form)
+    /// the group for its model's fingerprint, verify the parameters
+    /// bitwise, and cache the group's index in the session. `None` when
+    /// the monitor opted out of batching or the fingerprint collided with
+    /// a genuinely different model (checked again on its next reading).
+    fn verify_into_group(&mut self, session: &mut Session) -> Option<usize> {
+        let fp = session.batch_fingerprint()?;
+        let model = session.batch_model().expect("a fingerprint implies a batchable model");
+        let index = match self.groups.iter().position(|g| g.fp == fp) {
+            Some(index) => index,
+            None => {
+                self.groups.push(Group::new(fp, model.clone()));
+                self.groups.len() - 1
+            }
+        };
+        if !same_params(&self.groups[index].model, model) {
+            // A 64-bit fingerprint collision between genuinely different
+            // models: never batch this session into the group.
+            return None;
+        }
+        session.batch_group = Some((self.id, index));
+        Some(index)
+    }
 }
 
 /// Per-reading observe for items that bypass the GEMM, with the same

@@ -19,7 +19,7 @@ use voltsense_telemetry::trace;
 use voltsense_workload::GaussianRng;
 
 use crate::chaos::{ChaosConfig, ChaosStats, FaultyTransport, Injected};
-use crate::frame::{Frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME};
+use crate::frame::{encode_readings_into, Frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME};
 
 /// Reconnect/backoff tuning.
 #[derive(Debug, Clone, Copy)]
@@ -289,7 +289,8 @@ impl FleetClient {
         // seq) — and so a chaos-duplicated frame carries the *same* ID
         // and dedupes server-side instead of double-counting.
         let trace = trace::enabled().then(|| trace::trace_id(self.tenant, chip, seq));
-        let frame = Frame::Readings { chip, seq, trace, values: values.to_vec() }.encode();
+        let mut frame = Vec::new();
+        encode_readings_into(chip, seq, trace, values, &mut frame);
         let sent = self.transmit(frame)?;
         if !sent {
             self.recover()?;

@@ -196,60 +196,69 @@ const KIND_HELLO_ACK: u8 = 6;
 const KIND_READINGS_V2: u8 = 7;
 
 impl Frame {
-    /// Serialize into a complete wire frame (header + body).
+    /// Serialize into a complete wire frame (header + body), in a `Vec`
+    /// sized exactly to the frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(32);
+        let mut out = Vec::with_capacity(HEADER_LEN + self.body_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the complete wire frame to `out`. Reserves the exact frame
+    /// size once, writes the body after a placeholder header, then patches
+    /// in the length and checksum: a reused `out` makes encoding
+    /// allocation-free.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = open_frame(out, self.body_len());
         match self {
             Self::Hello { tenant, chip } => {
-                body.push(KIND_HELLO);
-                body.extend_from_slice(&tenant.to_le_bytes());
-                body.extend_from_slice(&chip.to_le_bytes());
+                out.push(KIND_HELLO);
+                out.extend_from_slice(&tenant.to_le_bytes());
+                out.extend_from_slice(&chip.to_le_bytes());
             }
             Self::HelloAck { chip, resumed, alarmed } => {
-                body.push(KIND_HELLO_ACK);
-                body.extend_from_slice(&chip.to_le_bytes());
-                body.push(u8::from(*resumed));
-                body.push(u8::from(*alarmed));
+                out.push(KIND_HELLO_ACK);
+                out.extend_from_slice(&chip.to_le_bytes());
+                out.push(u8::from(*resumed));
+                out.push(u8::from(*alarmed));
             }
             Self::Readings { chip, seq, trace, values } => {
-                body.push(if trace.is_some() { KIND_READINGS_V2 } else { KIND_READINGS });
-                body.extend_from_slice(&chip.to_le_bytes());
-                body.extend_from_slice(&seq.to_le_bytes());
-                if let Some(id) = trace {
-                    body.extend_from_slice(&id.to_le_bytes());
-                }
-                body.extend_from_slice(&(values.len() as u32).to_le_bytes());
-                for v in values {
-                    body.extend_from_slice(&v.to_le_bytes());
-                }
+                put_readings(out, *chip, *seq, *trace, values);
             }
             Self::Decision { chip, seq, flags, predicted_min } => {
-                body.push(KIND_DECISION);
-                body.extend_from_slice(&chip.to_le_bytes());
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.push(*flags);
-                body.extend_from_slice(&predicted_min.to_le_bytes());
+                out.push(KIND_DECISION);
+                out.extend_from_slice(&chip.to_le_bytes());
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.push(*flags);
+                out.extend_from_slice(&predicted_min.to_le_bytes());
             }
             Self::Busy { chip, retry_after_ms } => {
-                body.push(KIND_BUSY);
-                body.extend_from_slice(&chip.to_le_bytes());
-                body.extend_from_slice(&retry_after_ms.to_le_bytes());
+                out.push(KIND_BUSY);
+                out.extend_from_slice(&chip.to_le_bytes());
+                out.extend_from_slice(&retry_after_ms.to_le_bytes());
             }
             Self::Error { code, chip, message } => {
-                body.push(KIND_ERROR);
-                body.push(*code);
-                body.extend_from_slice(&chip.to_le_bytes());
-                let msg = message.as_bytes();
-                let len = msg.len().min(MAX_ERROR_MSG);
-                body.extend_from_slice(&(len as u16).to_le_bytes());
-                body.extend_from_slice(&msg[..len]);
+                let msg = &message.as_bytes()[..message.len().min(MAX_ERROR_MSG)];
+                out.push(KIND_ERROR);
+                out.push(*code);
+                out.extend_from_slice(&chip.to_le_bytes());
+                out.extend_from_slice(&(msg.len() as u16).to_le_bytes());
+                out.extend_from_slice(msg);
             }
         }
-        let mut frame = Vec::with_capacity(HEADER_LEN + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame
+        seal_frame(out, start);
+    }
+
+    /// Body length in bytes (kind byte included) of this frame's encoding.
+    fn body_len(&self) -> usize {
+        match self {
+            Self::Hello { .. } => 1 + 8 + 8,
+            Self::HelloAck { .. } => 1 + 8 + 1 + 1,
+            Self::Readings { trace, values, .. } => readings_body_len(trace.is_some(), values.len()),
+            Self::Decision { .. } => 1 + 8 + 8 + 1 + 8,
+            Self::Busy { .. } => 1 + 8 + 4,
+            Self::Error { message, .. } => 1 + 1 + 8 + 2 + message.len().min(MAX_ERROR_MSG),
+        }
     }
 
     /// Decode one body (kind byte + payload, checksum already verified).
@@ -276,12 +285,12 @@ impl Frame {
                 }
                 // `count` is now bounded, and the body itself already
                 // passed the frame-size cap: safe to (re)allocate.
+                let raw = r.take(8 * count)?;
                 let mut values = spare.pop().unwrap_or_default();
                 values.clear();
-                values.reserve(count);
-                for _ in 0..count {
-                    values.push(r.f64()?);
-                }
+                values.extend(raw.chunks_exact(8).map(|b| {
+                    f64::from_le_bytes(b.try_into().expect("chunks_exact yields 8 bytes"))
+                }));
                 Self::Readings { chip, seq, trace, values }
             }
             KIND_DECISION => Self::Decision {
@@ -312,6 +321,59 @@ impl Frame {
         }
         Ok(frame)
     }
+}
+
+/// Append the readings frame `Frame::Readings { chip, seq, trace, values }`
+/// would encode, straight from a borrowed `values` slice — the client's
+/// send path, which has no owned `Vec` to put in a [`Frame`]. The same
+/// body writer backs [`Frame::encode_into`], so the bytes are identical.
+pub fn encode_readings_into(
+    chip: u64,
+    seq: u64,
+    trace: Option<u64>,
+    values: &[f64],
+    out: &mut Vec<u8>,
+) {
+    let start = open_frame(out, readings_body_len(trace.is_some(), values.len()));
+    put_readings(out, chip, seq, trace, values);
+    seal_frame(out, start);
+}
+
+/// Body length of a readings frame: kind, chip, seq, the optional v2
+/// trace ID, the count and the values.
+fn readings_body_len(traced: bool, count: usize) -> usize {
+    1 + 8 + 8 + if traced { 8 } else { 0 } + 4 + 8 * count
+}
+
+/// Write one readings body; untraced readings keep the v1 kind.
+fn put_readings(out: &mut Vec<u8>, chip: u64, seq: u64, trace: Option<u64>, values: &[f64]) {
+    out.push(if trace.is_some() { KIND_READINGS_V2 } else { KIND_READINGS });
+    out.extend_from_slice(&chip.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    if let Some(id) = trace {
+        out.extend_from_slice(&id.to_le_bytes());
+    }
+    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Reserve room for a `body_len`-byte frame and write its placeholder
+/// header; returns the frame's start offset for [`seal_frame`].
+fn open_frame(out: &mut Vec<u8>, body_len: usize) -> usize {
+    out.reserve(HEADER_LEN + body_len);
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    start
+}
+
+/// Patch the length and checksum of the frame starting at `start` over
+/// the body written after its header.
+fn seal_frame(out: &mut [u8], start: usize) {
+    let (header, body) = out[start..].split_at_mut(HEADER_LEN);
+    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&fnv1a32(body).to_le_bytes());
 }
 
 /// Cursor over a frame body; every read is bounds-checked into
@@ -359,14 +421,19 @@ impl<'a> Reader<'a> {
 /// Incremental decoder over a byte stream with arbitrary chunking.
 ///
 /// Feed raw bytes with [`push`](Self::push), then drain frames with
-/// [`next`](Self::next). The internal buffer is bounded by
-/// `HEADER_LEN + max_frame` plus one network read — oversized length
+/// [`next`](Self::next). Decoded frames advance a read cursor instead of
+/// shifting the buffer; `push` compacts the consumed prefix away once,
+/// before appending, so draining N frames moves each byte at most once.
+/// The retained buffer is therefore bounded by `HEADER_LEN + max_frame`
+/// plus one push ([`retained`](Self::retained)) — oversized length
 /// prefixes are rejected before the body is buffered or allocated. After
 /// any error the decoder is poisoned: `next` keeps returning the same
 /// error, because a corrupt prefix makes every later offset meaningless.
 #[derive(Debug)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
+    /// Read cursor: `buf[..start]` is decoded and awaits compaction.
+    start: usize,
     max_frame: usize,
     poisoned: Option<FrameError>,
     /// Recycled readings buffers ([`recycle`](Self::recycle)); decoding a
@@ -381,7 +448,7 @@ const MAX_SPARE_BUFFERS: usize = 32;
 impl FrameDecoder {
     /// Decoder accepting bodies up to `max_frame` bytes.
     pub fn new(max_frame: usize) -> Self {
-        Self { buf: Vec::new(), max_frame, poisoned: None, spare: Vec::new() }
+        Self { buf: Vec::new(), start: 0, max_frame, poisoned: None, spare: Vec::new() }
     }
 
     /// Return a spent readings buffer for reuse by a later `Readings`
@@ -394,17 +461,27 @@ impl FrameDecoder {
         }
     }
 
-    /// Append raw stream bytes. Ignored once the decoder is poisoned —
-    /// the connection is already doomed, so don't grow the buffer.
+    /// Append raw stream bytes, first compacting away the frames already
+    /// decoded. Ignored once the decoder is poisoned — the connection is
+    /// already doomed, so don't grow the buffer.
     pub fn push(&mut self, bytes: &[u8]) {
         if self.poisoned.is_none() {
+            self.buf.drain(..self.start);
+            self.start = 0;
             self.buf.extend_from_slice(bytes);
         }
     }
 
-    /// Bytes currently buffered (for backpressure accounting and the
-    /// never-over-allocates property test).
+    /// Bytes pushed but not yet decoded (for backpressure accounting and
+    /// the never-over-allocates property test).
     pub fn buffered(&self) -> usize {
+        self.buf.len() - self.start
+    }
+
+    /// Bytes the decoder holds, the decoded-but-uncompacted prefix
+    /// included: what the `HEADER_LEN + max_frame` plus one push bound
+    /// limits.
+    pub fn retained(&self) -> usize {
         self.buf.len()
     }
 
@@ -418,26 +495,31 @@ impl FrameDecoder {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        if self.buf.len() < HEADER_LEN {
+        let unread = &self.buf[self.start..];
+        if unread.len() < HEADER_LEN {
             return Ok(None);
         }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        let len = u32::from_le_bytes([unread[0], unread[1], unread[2], unread[3]]) as usize;
         if len > self.max_frame {
             return Err(self.poison(FrameError::TooLarge { len, max: self.max_frame }));
         }
-        if self.buf.len() < HEADER_LEN + len {
+        if unread.len() < HEADER_LEN + len {
             return Ok(None);
         }
-        let expected =
-            u32::from_le_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]);
-        let body = &self.buf[HEADER_LEN..HEADER_LEN + len];
+        let expected = u32::from_le_bytes([unread[4], unread[5], unread[6], unread[7]]);
+        let body = &unread[HEADER_LEN..HEADER_LEN + len];
         let actual = fnv1a32(body);
         if actual != expected {
             return Err(self.poison(FrameError::Checksum { expected, actual }));
         }
         match Frame::decode_body(body, &mut self.spare) {
             Ok(frame) => {
-                self.buf.drain(..HEADER_LEN + len);
+                self.start += HEADER_LEN + len;
+                if self.start == self.buf.len() {
+                    // Fully drained: reset for free instead of compacting.
+                    self.buf.clear();
+                    self.start = 0;
+                }
                 Ok(Some(frame))
             }
             Err(e) => Err(self.poison(e)),
@@ -446,6 +528,7 @@ impl FrameDecoder {
 
     fn poison(&mut self, err: FrameError) -> FrameError {
         self.buf.clear();
+        self.start = 0;
         self.poisoned = Some(err.clone());
         err
     }
@@ -492,6 +575,89 @@ mod tests {
             chip: 5,
             message: "no session".into(),
         });
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Wire bytes of every kind, recorded from the encoder that grew a
+    /// body `Vec` and copied it behind the header. Any change here is a
+    /// wire-format change.
+    #[test]
+    fn encodings_match_golden_bytes() {
+        let golden = [
+            (
+                Frame::Hello { tenant: 0x0102_0304_0506_0708, chip: 42 },
+                "110000001e6be5590108070605040302012a00000000000000",
+            ),
+            (
+                Frame::HelloAck { chip: 42, resumed: true, alarmed: false },
+                "0b0000008231898c062a000000000000000100",
+            ),
+            (
+                Frame::Readings {
+                    chip: 7,
+                    seq: 513,
+                    trace: None,
+                    values: vec![0.95, f64::NAN, -0.0, 0.83],
+                },
+                "35000000b58acf1b020700000000000000010200000000000004000000666666666666ee3f\
+                 000000000000f87f00000000000000808fc2f5285c8fea3f",
+            ),
+            (
+                Frame::Readings {
+                    chip: 7,
+                    seq: 514,
+                    trace: Some(0xdead_beef_cafe_f00d),
+                    values: vec![-0.0, f64::from_bits(0xfff8_0000_0000_0001), 1.5],
+                },
+                "350000003078e9f307070000000000000002020000000000000df0fecaefbeadde03000000\
+                 0000000000000080010000000000f8ff000000000000f83f",
+            ),
+            (
+                Frame::Readings { chip: 1, seq: 0, trace: None, values: vec![] },
+                "1500000084496a71020100000000000000000000000000000000000000",
+            ),
+            (
+                Frame::Decision { chip: 9, seq: 77, flags: 0b101, predicted_min: 0.8412 },
+                "1a0000006f3f59fd0309000000000000004d00000000000000057aa52c431cebea3f",
+            ),
+            (
+                Frame::Busy { chip: 3, retry_after_ms: 250 },
+                "0d000000cab86686040300000000000000fa000000",
+            ),
+            (
+                Frame::Error { code: 4, chip: 5, message: "no session".into() },
+                "160000004c09637f050405000000000000000a006e6f2073657373696f6e",
+            ),
+        ];
+        let mut reused = Vec::new();
+        for (frame, want) in &golden {
+            let wire = frame.encode();
+            assert_eq!(hex(&wire), *want, "{frame:?}");
+            assert_eq!(wire.capacity(), wire.len(), "encode sizes exactly: {frame:?}");
+            // `encode_into` appends: the earlier bytes stay, the frame follows.
+            let before = reused.clone();
+            frame.encode_into(&mut reused);
+            assert_eq!(&reused[..before.len()], before.as_slice());
+            assert_eq!(hex(&reused[before.len()..]), *want, "{frame:?}");
+            if let Frame::Readings { chip, seq, trace, values } = frame {
+                let mut direct = vec![0xAA];
+                encode_readings_into(*chip, *seq, *trace, values, &mut direct);
+                assert_eq!(direct[0], 0xAA);
+                assert_eq!(hex(&direct[1..]), *want, "{frame:?}");
+            }
+        }
+
+        // An over-long message is cut to MAX_ERROR_MSG bytes on the wire.
+        let message: String =
+            (0..MAX_ERROR_MSG + 40).map(|i| char::from(b'a' + (i % 26) as u8)).collect();
+        let wire = Frame::Error { code: 3, chip: 11, message: message.clone() }.encode();
+        assert_eq!(wire.len(), 532);
+        assert_eq!(hex(&wire[..HEADER_LEN + 12]), "0c0200008404ebe905030b00000000000000\
+                                                   0002");
+        assert_eq!(&wire[HEADER_LEN + 12..], &message.as_bytes()[..MAX_ERROR_MSG]);
     }
 
     #[test]

@@ -163,8 +163,15 @@ struct Counters {
 
 /// Write half of one client connection, shared by reader and dispatcher.
 struct ConnTx {
-    stream: Mutex<TcpStream>,
+    tx: Mutex<TxHalf>,
     dead: AtomicBool,
+}
+
+/// The socket's write half and the frame buffer every response on it is
+/// encoded into (reused, so steady-state responses allocate nothing).
+struct TxHalf {
+    stream: TcpStream,
+    buf: Vec<u8>,
 }
 
 impl ConnTx {
@@ -174,9 +181,11 @@ impl ConnTx {
             telemetry::counter(metrics::RESPONSES_DROPPED_TOTAL, 1);
             return;
         }
-        let bytes = frame.encode();
-        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        if stream.write_all(&bytes).and_then(|()| stream.flush()).is_err() {
+        let mut tx = self.tx.lock().unwrap_or_else(|e| e.into_inner());
+        let TxHalf { stream, buf } = &mut *tx;
+        buf.clear();
+        frame.encode_into(buf);
+        if stream.write_all(buf).and_then(|()| stream.flush()).is_err() {
             self.dead.store(true, Ordering::Relaxed);
             counters.responses_dropped.fetch_add(1, Ordering::Relaxed);
             telemetry::counter(metrics::RESPONSES_DROPPED_TOTAL, 1);
@@ -185,8 +194,8 @@ impl ConnTx {
 
     fn shutdown(&self) {
         self.dead.store(true, Ordering::Relaxed);
-        let stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = stream.shutdown(Shutdown::Both);
+        let tx = self.tx.lock().unwrap_or_else(|e| e.into_inner());
+        let _ = tx.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -765,7 +774,10 @@ fn reader_loop(shared: Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
     let Ok(write_half) = stream.try_clone() else { return };
-    let conn = Arc::new(ConnTx { stream: Mutex::new(write_half), dead: AtomicBool::new(false) });
+    let conn = Arc::new(ConnTx {
+        tx: Mutex::new(TxHalf { stream: write_half, buf: Vec::new() }),
+        dead: AtomicBool::new(false),
+    });
     {
         let mut conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
         conns.retain(|w| w.strong_count() > 0);

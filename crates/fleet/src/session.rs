@@ -24,7 +24,6 @@
 //! cross-tenant isolation property the chaos suite pins.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use voltsense_core::{CoreError, EmergencyMonitor, MonitorDecision, VoltageMapModel};
@@ -217,9 +216,6 @@ impl CheckpointHandle<'_> {
     }
 }
 
-/// Monotonic id source for [`Session::instance_id`].
-static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
-
 /// Inputs to [`Session::apply_decision`] — one popped batch, the monitor's
 /// verdict on it, and the measurements the trace draft needs.
 pub(crate) struct ApplyArgs {
@@ -230,8 +226,9 @@ pub(crate) struct ApplyArgs {
     pub(crate) was_alarmed: bool,
     pub(crate) checkpoint_interval: usize,
     pub(crate) trace: Option<PendingTrace>,
-    /// When the batch was popped from the queue (ends the `shard` stage).
-    pub(crate) popped: Instant,
+    /// When the batch was popped from the queue (ends the `shard` stage);
+    /// read only for traced batches, its one consumer.
+    pub(crate) popped: Option<Instant>,
     /// Prediction time to report for the `predict` stage (amortized GEMM
     /// share on the batched path).
     pub(crate) predict_ns: u64,
@@ -261,11 +258,12 @@ pub struct Session {
     /// hand back to its [`crate::frame::FrameDecoder`] — the loop that
     /// keeps the per-reading path allocation-free.
     spare: Vec<Vec<f64>>,
-    /// Process-unique id of this session *instance*; a session recreated
-    /// for the same key (restore, re-hello after eviction) gets a fresh
-    /// one, so batch-plane verification caches never outlive the monitor
-    /// they vouched for.
-    instance: u64,
+    /// `(plane id, group index)` of the batch-plane model group this
+    /// instance's model was verified bitwise against. It lives in the
+    /// session, so a session recreated for the same key (restore,
+    /// re-hello after eviction) starts unverified and the cache never
+    /// outlives the monitor it vouched for.
+    pub(crate) batch_group: Option<(u64, usize)>,
     /// Cached [`VoltageMapModel::params_fingerprint`] of the monitor's
     /// batch model: `None` = not yet computed, `Some(None)` = the monitor
     /// opted out of batching. Models are immutable per instance, so one
@@ -292,14 +290,9 @@ impl Session {
             samples_since_checkpoint: 0,
             checkpoint_due: false,
             spare: Vec::new(),
-            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
+            batch_group: None,
             batch_fp: None,
         }
-    }
-
-    /// Process-unique id of this session instance (see the field docs).
-    pub fn instance_id(&self) -> u64 {
-        self.instance
     }
 
     /// Fingerprint of the monitor's batchable model, or `None` when the
@@ -428,18 +421,18 @@ impl Session {
     /// state (pinned by the fleet `alloc_gate` test; error frames and
     /// checkpoint serialization still allocate, as befits cold paths).
     pub fn drain_into(&mut self, out: &mut Vec<Drained>, budget: usize, checkpoint_interval: usize) {
+        // One clock read per pass for the activity clock; per-reading
+        // instants only for traced readings, whose stages need them.
+        let now = Instant::now();
         for _ in 0..budget {
-            let Some(batch) = self.pop_batch() else { break };
+            let Some(batch) = self.pop_batch(now) else { break };
             let QueuedBatch { seq, values, trace } = batch;
-            let popped = Instant::now();
+            let popped = trace.is_some().then(Instant::now);
             let was_alarmed = self.monitor.is_alarmed();
             let observed = self.monitor.observe(&values);
             // Stage boundary: everything between `popped` and here is the
             // prediction; the decision assembly below is `decide`.
-            let predict_ns = trace
-                .as_ref()
-                .map(|_| popped.elapsed().as_nanos() as u64)
-                .unwrap_or(0);
+            let predict_ns = popped.map_or(0, |t| t.elapsed().as_nanos() as u64);
             out.push(self.apply_decision(ApplyArgs {
                 seq,
                 values,
@@ -455,11 +448,12 @@ impl Session {
         self.finish_drain_pass();
     }
 
-    /// Pop the oldest queued batch (the gather half of a drain), touching
-    /// the activity clock exactly as [`drain_into`](Self::drain_into) does.
-    pub(crate) fn pop_batch(&mut self) -> Option<QueuedBatch> {
+    /// Pop the oldest queued batch (the gather half of a drain), setting
+    /// the activity clock to the pass's `now` exactly as
+    /// [`drain_into`](Self::drain_into) does.
+    pub(crate) fn pop_batch(&mut self, now: Instant) -> Option<QueuedBatch> {
         let batch = self.queue.pop_front()?;
-        self.last_activity = Instant::now();
+        self.last_activity = now;
         Some(batch)
     }
 
@@ -529,7 +523,8 @@ impl Session {
                 let draft = trace.map(|p| TraceDraft {
                     ctx: p.ctx,
                     decode_ns: p.decode_ns,
-                    shard_ns: popped.saturating_duration_since(p.enqueued).as_nanos() as u64,
+                    shard_ns: popped
+                        .map_or(0, |t| t.saturating_duration_since(p.enqueued).as_nanos() as u64),
                     predict_ns,
                     decide_ns: decide_started
                         .map(|t| t.elapsed().as_nanos() as u64)

@@ -1,10 +1,11 @@
 //! Zero-allocation gate for the fleet's per-reading hot path.
 //!
-//! One steady-state reading travels decode → queue → predict → decide:
-//! the decoder parses a wire frame into a recycled values buffer, the
-//! session queues it, `drain_into` runs the monitor and appends the
-//! decision to a caller-reused output vector, and the spent buffer is
-//! recycled back into the decoder. With every buffer warm, that loop
+//! One steady-state reading travels decode → queue → predict → decide →
+//! encode: the decoder parses a wire frame into a recycled values buffer,
+//! the session queues it, `drain_into` runs the monitor and appends the
+//! decision to a caller-reused output vector, the decision is encoded
+//! into a reused wire buffer, and the spent buffer is recycled back into
+//! the decoder. With every buffer warm, that loop
 //! must allocate nothing — this gate pins it end to end, so a
 //! regression anywhere along the path (a fresh `Vec` per frame, a
 //! `String` per decision, a non-`_into` predict) fails with a
@@ -52,6 +53,7 @@ fn per_reading_path_is_alloc_free() {
         // checkpoint serialization are cold paths and allocate freely.
         let wire = Frame::Readings { chip: 7, seq: 0, trace: None, values: vec![1.0] }.encode();
         let mut out: Vec<Drained> = Vec::with_capacity(4);
+        let mut response: Vec<u8> = Vec::with_capacity(64);
         alloc_gate!("fleet.per_reading", 64, || {
             decoder.push(&wire);
             let frame = decoder.next().expect("decode").expect("one frame");
@@ -64,6 +66,9 @@ fn per_reading_path_is_alloc_free() {
             }
             session.drain_into(&mut out, 8, usize::MAX);
             assert!(matches!(out[0].frame, Frame::Decision { .. }));
+            response.clear();
+            out[0].frame.encode_into(&mut response);
+            assert_eq!(response.len(), 8 + 26, "one decision frame");
             out.clear();
             // Close the recycling loop: the session's spent values buffer
             // becomes the decoder's next decode target.

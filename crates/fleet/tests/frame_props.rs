@@ -66,6 +66,58 @@ fn any_frame_roundtrips_through_any_chunking() {
 }
 
 #[test]
+fn decoder_cursor_accounts_every_byte_and_stays_bounded() {
+    // The largest body `frame_from` builds from 9 values: a traced
+    // readings frame. A decoder capped there accepts every frame below.
+    const CAP: usize = 1 + 8 + 8 + 8 + 4 + 8 * 9;
+    forall!(cases = 64, (
+        tags in vec_f64(24, 0.0, TAGS.len() as f64),
+        seqs in vec_f64(24, 0.0, 1e6),
+        values in vec_f64(9, 0.0, 1.5),
+        chunks in vec_f64(16, 1.0, 97.0),
+    ) => {
+        let frames: Vec<Frame> = tags
+            .iter()
+            .zip(&seqs)
+            .enumerate()
+            .map(|(i, (&t, &b))| frame_from(TAGS[t as usize], i as u64, b as u64, &values))
+            .collect();
+        let lens: Vec<usize> = frames.iter().map(|f| f.encode().len()).collect();
+        let wire: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        let mut dec = FrameDecoder::new(CAP);
+        let (mut pushed, mut consumed, mut at) = (0, 0, 0);
+        let mut out = Vec::new();
+        for &chunk in chunks.iter().cycle() {
+            if at == wire.len() {
+                break;
+            }
+            let piece = &wire[at..wire.len().min(at + chunk as usize)];
+            at += piece.len();
+            dec.push(piece);
+            pushed += piece.len();
+            loop {
+                let next = dec.next().expect("valid wire bytes decode");
+                if next.is_some() {
+                    consumed += lens[out.len()];
+                }
+                assert_eq!(dec.buffered(), pushed - consumed, "unread bytes");
+                assert!(
+                    dec.retained() <= HEADER_LEN + CAP + piece.len(),
+                    "retained {} bytes past the frame cap plus one push of {}",
+                    dec.retained(),
+                    piece.len()
+                );
+                match next {
+                    Some(frame) => out.push(frame),
+                    None => break,
+                }
+            }
+        }
+        assert_eq!(out, frames);
+    });
+}
+
+#[test]
 fn any_single_byte_mutation_yields_error_or_valid_frame_never_panic() {
     forall!(cases = 256, (
         tag in choice(TAGS.to_vec()),
