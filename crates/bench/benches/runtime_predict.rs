@@ -5,10 +5,14 @@
 //! cheap"; this bench quantifies it: a Q-sensor → K-block affine map.
 //! The fleet's readings-frame codec at the same Q is priced alongside, so
 //! the framing cost around each prediction reads next to the kernels.
-//! Testkit timer, JSON report in `results/bench_runtime_predict.json`.
+//! What a fleet pays per chip for the shared model is priced too: a model
+//! clone, one session opened around it, and the serial per-reading
+//! kernel. Testkit timer, JSON report in
+//! `results/bench_runtime_predict.json`.
 
-use voltsense::core::VoltageMapModel;
+use voltsense::core::{EmergencyMonitor, VoltageMapModel};
 use voltsense::fleet::frame::{Frame, FrameDecoder, DEFAULT_MAX_FRAME};
+use voltsense::fleet::session::{LadderConfig, Session, SessionKey};
 use voltsense::linalg::Matrix;
 use voltsense::workload::GaussianRng;
 use voltsense_testkit::bench::BenchTimer;
@@ -66,6 +70,21 @@ fn main() {
 
     // Full detection decision including the threshold scan.
     let (model, readings) = model(1024, 240, 16);
+
+    // The per-chip cost of the shared model: a clone is a reference-count
+    // increment, a session opens a monitor around a clone, and the
+    // per-reading kernel writes into a reused output (no allocation).
+    timer.bench("model_clone", || model.clone());
+    timer.bench("session_open_q16_k240", || {
+        let monitor = EmergencyMonitor::new(model.clone(), 0.85, 1, 0.01).expect("monitor");
+        Session::new(SessionKey { tenant: 1, chip: 1 }, Box::new(monitor), LadderConfig::default())
+    });
+    let mut predicted = vec![0.0; model.num_targets()];
+    timer.bench("predict_into_q16_k240", || {
+        model.predict_into(&readings, &mut predicted).expect("predict");
+        predicted[0]
+    });
+
     let mut candidates = vec![0.95; 1024];
     for (i, &s) in model.sensor_indices().iter().enumerate() {
         candidates[s] = readings[i];

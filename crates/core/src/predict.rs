@@ -1,5 +1,5 @@
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use voltsense_linalg::lstsq::{self, LinearFit};
 use voltsense_linalg::{vec_ops, Matrix};
@@ -18,22 +18,51 @@ use crate::CoreError;
 /// Eq. 15–16), so a model read straight off `β` under-predicts droops.
 /// Compare with [`GlDirectModel`] in the `ablation_refit` experiment.
 ///
+/// The model is a handle: every clone shares one immutable parameter
+/// block (sensors, the fit, its `Q×K` transpose and its fingerprint), so
+/// cloning is a reference-count increment and every chip of a design
+/// reads the same cache-resident coefficients — the paper fits the map
+/// once per design and runs it on every chip.
+///
 /// See the [crate-level docs](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct VoltageMapModel {
+    params: Arc<ModelParams>,
+}
+
+/// The fitted, immutable parameters every clone of one
+/// [`VoltageMapModel`] shares. Built once per [`VoltageMapModel::fit`] or
+/// [`VoltageMapModel::from_parts`].
+#[derive(Debug)]
+struct ModelParams {
     sensor_indices: Vec<usize>,
     fit: LinearFit,
     num_candidates: usize,
-    /// Lazily materialized `Q×K` transpose of the coefficients, used by
-    /// [`VoltageMapModel::predict_batch_into`] so a batch of readings can
-    /// be multiplied as `B×Q · Q×K` with contiguous per-reading output
-    /// rows. Built on first use; models that never batch never pay for it.
-    coeffs_t: OnceLock<Matrix>,
-    /// Lazily computed [`VoltageMapModel::params_fingerprint`].
+    /// `Q×K` transpose of the coefficients: the per-reading kernel
+    /// ([`VoltageMapModel::predict_into`]) and the batched GEMM
+    /// ([`VoltageMapModel::predict_batch_into`]) both run on it, so a
+    /// reading's prediction is one contiguous `K`-wide row update per
+    /// sensor.
+    coeffs_t: Matrix,
+    /// Lazily computed [`VoltageMapModel::params_fingerprint`]: once per
+    /// block, however many clones ask.
     fingerprint: OnceLock<u64>,
 }
 
 impl VoltageMapModel {
+    fn from_fit(sensor_indices: Vec<usize>, fit: LinearFit, num_candidates: usize) -> Self {
+        let coeffs_t = fit.coefficients.transpose();
+        VoltageMapModel {
+            params: Arc::new(ModelParams {
+                sensor_indices,
+                fit,
+                num_candidates,
+                coeffs_t,
+                fingerprint: OnceLock::new(),
+            }),
+        }
+    }
+
     /// Fits the model: OLS of `f` on the `sensors` rows of `x`
     /// (both in volts).
     ///
@@ -66,13 +95,7 @@ impl VoltageMapModel {
         telemetry::counter("core.ols_refits", 1);
         let x_sel = x.select_rows(sensors);
         let fit = lstsq::ols_with_intercept(&x_sel, f)?;
-        Ok(VoltageMapModel {
-            sensor_indices: sensors.to_vec(),
-            fit,
-            num_candidates: x.rows(),
-            coeffs_t: OnceLock::new(),
-            fingerprint: OnceLock::new(),
-        })
+        Ok(VoltageMapModel::from_fit(sensors.to_vec(), fit, x.rows()))
     }
 
     /// Rebuilds a fitted model from serialized parts — the restore half of
@@ -130,48 +153,70 @@ impl VoltageMapModel {
                 what: "model parts contain a non-finite parameter".into(),
             });
         }
-        Ok(VoltageMapModel {
-            sensor_indices: sensors,
-            fit: LinearFit {
-                coefficients,
-                intercept,
-                rms_residual,
-            },
-            num_candidates,
-            coeffs_t: OnceLock::new(),
-            fingerprint: OnceLock::new(),
-        })
+        let fit = LinearFit {
+            coefficients,
+            intercept,
+            rms_residual,
+        };
+        Ok(VoltageMapModel::from_fit(sensors, fit, num_candidates))
+    }
+
+    /// `true` when `self` and `other` are clones of one fitted model, i.e.
+    /// share one parameter block — then their predictions are identical
+    /// without comparing a single coefficient. Models with equal
+    /// parameters built separately (two [`VoltageMapModel::from_parts`]
+    /// calls) answer `false`.
+    pub fn shares_params(&self, other: &VoltageMapModel) -> bool {
+        Arc::ptr_eq(&self.params, &other.params)
+    }
+
+    /// A separate parameter block with this model's parameters whose
+    /// [`VoltageMapModel::params_fingerprint`] reads `fingerprint`. Exists
+    /// so tests can stage a fingerprint collision between genuinely
+    /// different models; nothing else should need it.
+    #[doc(hidden)]
+    pub fn with_forced_fingerprint(&self, fingerprint: u64) -> VoltageMapModel {
+        let p = &*self.params;
+        VoltageMapModel {
+            params: Arc::new(ModelParams {
+                sensor_indices: p.sensor_indices.clone(),
+                fit: p.fit.clone(),
+                num_candidates: p.num_candidates,
+                coeffs_t: p.coeffs_t.clone(),
+                fingerprint: OnceLock::from(fingerprint),
+            }),
+        }
     }
 
     /// Indices of the placed sensors within the candidate set.
     pub fn sensor_indices(&self) -> &[usize] {
-        &self.sensor_indices
+        &self.params.sensor_indices
     }
 
     /// Number of sensors `Q`.
     pub fn num_sensors(&self) -> usize {
-        self.sensor_indices.len()
+        self.params.sensor_indices.len()
     }
 
     /// Number of predicted critical nodes `K`.
     pub fn num_targets(&self) -> usize {
-        self.fit.coefficients.rows()
+        self.params.fit.coefficients.rows()
     }
 
     /// Number of candidates the model was fitted against (for
     /// full-candidate-vector prediction).
     pub fn num_candidates(&self) -> usize {
-        self.num_candidates
+        self.params.num_candidates
     }
 
     /// The fitted coefficients `α^S` (`K x Q`) and intercept `c`.
     pub fn linear_fit(&self) -> &LinearFit {
-        &self.fit
+        &self.params.fit
     }
 
     /// Training root-mean-square residual (V).
     pub fn rms_residual(&self) -> f64 {
-        self.fit.rms_residual
+        self.params.fit.rms_residual
     }
 
     /// Predicts all critical-node voltages from the `Q` placed sensors'
@@ -193,6 +238,11 @@ impl VoltageMapModel {
     /// output slice of length `K`, allocating nothing on success — the
     /// steady-state form of the per-reading runtime path, pinned by the
     /// fleet `alloc_gate` test. (The error paths still format messages.)
+    ///
+    /// Runs serially on the shared `Q×K` transpose — one row of the
+    /// batched GEMM — so every output carries exactly the bits of
+    /// [`LinearFit::predict_into`] on the `K×Q` coefficients (the lane
+    /// identity, DESIGN.md §8.4) without a pool dispatch per reading.
     ///
     /// # Errors
     ///
@@ -220,15 +270,18 @@ impl VoltageMapModel {
         if let Some(bad) = readings.iter().position(|v| !v.is_finite()) {
             return Err(CoreError::NonFiniteReading { sensor: bad });
         }
-        self.fit.predict_into(readings, out)?;
+        self.params.coeffs_t.vecmat_into(readings, out)?;
+        for (o, c) in out.iter_mut().zip(&self.params.fit.intercept) {
+            *o += c;
+        }
         Ok(())
     }
 
     /// Batched form of [`VoltageMapModel::predict_into`]: `readings` is a
     /// `B×Q` matrix whose *rows* are readings vectors, and row `b` of the
     /// `B×K` output is the prediction for reading `b`. One blocked GEMM
-    /// (`B×Q · Q×K` against the cached coefficient transpose) replaces `B`
-    /// matvecs — the fleet's cross-session amortization lever.
+    /// (`B×Q · Q×K` against the shared coefficient transpose) replaces `B`
+    /// per-reading products — the fleet's cross-session amortization lever.
     ///
     /// **Bit-identity contract (DESIGN.md §8.4):** every output row holds
     /// exactly the bits `predict_into` would produce for that readings row.
@@ -242,8 +295,7 @@ impl VoltageMapModel {
     /// [`CoreError::NonFiniteReading`] semantics (the fleet does) must
     /// route such rows through the sequential path instead.
     ///
-    /// Allocation-free after the first call on a given model (the cached
-    /// transpose is built lazily); pinned by the fleet `alloc_gate` test.
+    /// Allocation-free; pinned by the fleet `alloc_gate` test.
     ///
     /// # Errors
     ///
@@ -270,12 +322,9 @@ impl VoltageMapModel {
                 ),
             });
         }
-        let coeffs_t = self
-            .coeffs_t
-            .get_or_init(|| self.fit.coefficients.transpose());
-        readings.matmul_into(coeffs_t, out)?;
+        readings.matmul_into(&self.params.coeffs_t, out)?;
         for b in 0..out.rows() {
-            for (o, c) in out.row_mut(b).iter_mut().zip(&self.fit.intercept) {
+            for (o, c) in out.row_mut(b).iter_mut().zip(&self.params.fit.intercept) {
                 *o += c;
             }
         }
@@ -286,11 +335,16 @@ impl VoltageMapModel {
     /// the raw bits of every coefficient and intercept entry. Two models
     /// with equal fingerprints are *candidates* for sharing a batched GEMM
     /// (same predictions for the same readings); the fleet still verifies
-    /// the parameters bitwise once per session before trusting a match.
-    /// Sensor indices and training residual are deliberately excluded:
-    /// they do not affect the readings→prediction map.
+    /// the parameters bitwise once per session before trusting a match,
+    /// unless the two share one parameter block
+    /// ([`VoltageMapModel::shares_params`]). Sensor indices and training
+    /// residual are deliberately excluded: they do not affect the
+    /// readings→prediction map. Computed once per parameter block
+    /// (counted as `core.params_fingerprints`), however many clones ask.
     pub fn params_fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| {
+        *self.params.fingerprint.get_or_init(|| {
+            telemetry::counter("core.params_fingerprints", 1);
+            let fit = &self.params.fit;
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             let mut eat = |v: u64| {
                 for byte in v.to_le_bytes() {
@@ -298,12 +352,12 @@ impl VoltageMapModel {
                     h = h.wrapping_mul(0x100_0000_01b3);
                 }
             };
-            eat(self.num_targets() as u64);
-            eat(self.num_sensors() as u64);
-            for &c in self.fit.coefficients.as_slice() {
+            eat(fit.coefficients.rows() as u64);
+            eat(fit.coefficients.cols() as u64);
+            for &c in fit.coefficients.as_slice() {
                 eat(c.to_bits());
             }
-            for &c in &self.fit.intercept {
+            for &c in &fit.intercept {
                 eat(c.to_bits());
             }
             h
@@ -319,17 +373,17 @@ impl VoltageMapModel {
     /// Returns [`CoreError::ShapeMismatch`] if
     /// `candidates.len() != self.num_candidates()`.
     pub fn predict_from_candidates(&self, candidates: &[f64]) -> Result<Vec<f64>, CoreError> {
-        if candidates.len() != self.num_candidates {
+        if candidates.len() != self.num_candidates() {
             return Err(CoreError::ShapeMismatch {
                 what: format!(
                     "expected {} candidate voltages, got {}",
-                    self.num_candidates,
+                    self.num_candidates(),
                     candidates.len()
                 ),
             });
         }
         let readings: Vec<f64> = self
-            .sensor_indices
+            .sensor_indices()
             .iter()
             .map(|&s| candidates[s])
             .collect();
@@ -344,17 +398,17 @@ impl VoltageMapModel {
     /// Returns [`CoreError::ShapeMismatch`] if `x.rows()` differs from the
     /// fitted candidate count.
     pub fn predict_matrix(&self, x: &Matrix) -> Result<Matrix, CoreError> {
-        if x.rows() != self.num_candidates {
+        if x.rows() != self.num_candidates() {
             return Err(CoreError::ShapeMismatch {
                 what: format!(
                     "X has {} rows, model was fitted over {} candidates",
                     x.rows(),
-                    self.num_candidates
+                    self.num_candidates()
                 ),
             });
         }
-        let x_sel = x.select_rows(&self.sensor_indices);
-        Ok(self.fit.predict_matrix(&x_sel)?)
+        let x_sel = x.select_rows(self.sensor_indices());
+        Ok(self.linear_fit().predict_matrix(&x_sel)?)
     }
 
     /// Emergency decision for one candidate-voltage sample: alarm if any
@@ -393,8 +447,25 @@ impl VoltageMapModel {
 ///
 /// Multi-failure fallbacks (2+ sensors down at once) are fitted lazily on
 /// first use and cached, keyed by the excluded set.
+///
+/// Everything fitted up front is one immutable block that clones share:
+/// cloning a fitted model (one per fault-aware monitor) copies no training
+/// matrix. Only the lazy caches belong to the instance.
 #[derive(Debug, Clone)]
 pub struct FaultTolerantModel {
+    fitted: Arc<FaultFit>,
+    /// Cross-prediction families over reduced survivor sets, keyed by the
+    /// excluded sensor set and fitted lazily as sensors drop out, so
+    /// health scoring among survivors never needs a stand-in value for a
+    /// dead sensor's reading.
+    cross_cache: BTreeMap<Vec<usize>, CrossFamily>,
+    /// Lazily fitted fallbacks for multi-sensor exclusions.
+    multi_cache: BTreeMap<Vec<usize>, LinearFit>,
+}
+
+/// The eagerly fitted, immutable parts of a [`FaultTolerantModel`].
+#[derive(Debug)]
+struct FaultFit {
     primary: VoltageMapModel,
     /// `Q x N` training readings of the placed sensors.
     x_sel: Matrix,
@@ -406,14 +477,9 @@ pub struct FaultTolerantModel {
     /// `fallbacks[i]` predicts all targets without sensor `i` (empty when
     /// `Q == 1` — there is nothing to fall back to).
     fallbacks: Vec<LinearFit>,
-    /// Cross-prediction families keyed by the excluded sensor set: the
-    /// empty key (fitted eagerly) scores all Q sensors against each other;
-    /// reduced families are fitted lazily as sensors drop out, so health
-    /// scoring among survivors never needs a stand-in value for a dead
-    /// sensor's reading.
-    cross_families: BTreeMap<Vec<usize>, CrossFamily>,
-    /// Lazily fitted fallbacks for multi-sensor exclusions.
-    multi_cache: BTreeMap<Vec<usize>, LinearFit>,
+    /// The family scoring all Q sensors against each other (`None` when
+    /// `Q == 1`).
+    cross_all: Option<CrossFamily>,
 }
 
 /// Mutual cross-prediction models over one set of surviving sensors: each
@@ -570,7 +636,7 @@ impl FaultTolerantModel {
         let q = sensors.len();
         let sensor_means: Vec<f64> = (0..q).map(|i| vec_ops::mean(x_sel.row(i))).collect();
         let mut fallbacks = Vec::new();
-        let mut cross_families = BTreeMap::new();
+        let mut cross_all = None;
         if q > 1 {
             // The Q leave-one-out fallback fits are independent OLS solves
             // on row subsets of the same training data — fan them out and
@@ -585,37 +651,40 @@ impl FaultTolerantModel {
             .collect::<Result<Vec<_>, _>>()?;
             telemetry::counter("core.fallback_fits", q as u64);
             let all: Vec<usize> = (0..q).collect();
-            cross_families.insert(Vec::new(), CrossFamily::fit(&x_sel, &all)?);
+            cross_all = Some(CrossFamily::fit(&x_sel, &all)?);
         }
         Ok(FaultTolerantModel {
-            primary,
-            x_sel,
-            f_train: f.clone(),
-            sensor_means,
-            fallbacks,
-            cross_families,
+            fitted: Arc::new(FaultFit {
+                primary,
+                x_sel,
+                f_train: f.clone(),
+                sensor_means,
+                fallbacks,
+                cross_all,
+            }),
+            cross_cache: BTreeMap::new(),
             multi_cache: BTreeMap::new(),
         })
     }
 
     /// The primary (all-sensors) model.
     pub fn primary(&self) -> &VoltageMapModel {
-        &self.primary
+        &self.fitted.primary
     }
 
     /// Number of placed sensors `Q`.
     pub fn num_sensors(&self) -> usize {
-        self.primary.num_sensors()
+        self.fitted.primary.num_sensors()
     }
 
     /// Per-sensor training-mean readings.
     pub fn sensor_means(&self) -> &[f64] {
-        &self.sensor_means
+        &self.fitted.sensor_means
     }
 
     /// The pre-fitted leave-`i`-out fallback, or `None` when `Q == 1`.
     pub fn leave_one_out(&self, i: usize) -> Option<&LinearFit> {
-        self.fallbacks.get(i)
+        self.fitted.fallbacks.get(i)
     }
 
     /// Predicts sensor `i`'s reading from the other sensors' entries of
@@ -638,7 +707,7 @@ impl FaultTolerantModel {
                 what: format!("sensor position {i} out of range for {q} sensors"),
             });
         }
-        let Some(family) = self.cross_families.get(&Vec::new()) else {
+        let Some(family) = &self.fitted.cross_all else {
             return Ok(None);
         };
         let residuals = family.residuals(readings)?;
@@ -648,9 +717,7 @@ impl FaultTolerantModel {
     /// Training RMS residual of sensor `i`'s cross-prediction model, or
     /// `None` when `Q == 1`.
     pub fn cross_rms(&self, i: usize) -> Option<f64> {
-        self.cross_families
-            .get(&Vec::new())
-            .map(|family| family.rms(i))
+        self.fitted.cross_all.as_ref().map(|family| family.rms(i))
     }
 
     /// The cross-prediction family over the sensors *not* in `excluded`,
@@ -674,13 +741,16 @@ impl FaultTolerantModel {
         if q - key.len() < 2 {
             return Ok(None);
         }
-        if !self.cross_families.contains_key(&key) {
+        if key.is_empty() {
+            return Ok(self.fitted.cross_all.as_ref());
+        }
+        if !self.cross_cache.contains_key(&key) {
             telemetry::counter("core.cross_family_fits", 1);
             let survivors: Vec<usize> = (0..q).filter(|i| !key.contains(i)).collect();
-            let family = CrossFamily::fit(&self.x_sel, &survivors)?;
-            self.cross_families.insert(key.clone(), family);
+            let family = CrossFamily::fit(&self.fitted.x_sel, &survivors)?;
+            self.cross_cache.insert(key.clone(), family);
         }
-        Ok(self.cross_families.get(&key))
+        Ok(self.cross_cache.get(&key))
     }
 
     /// Predicts all critical-node voltages from the placed sensors'
@@ -717,7 +787,7 @@ impl FaultTolerantModel {
             });
         }
         if key.is_empty() {
-            return self.primary.predict_from_sensors(readings);
+            return self.fitted.primary.predict_from_sensors(readings);
         }
         if key.len() >= q {
             return Err(CoreError::DegradedBeyondRecovery {
@@ -733,12 +803,12 @@ impl FaultTolerantModel {
         }
         let surviving_readings: Vec<f64> = survivors.iter().map(|&i| readings[i]).collect();
         if key.len() == 1 {
-            return Ok(self.fallbacks[key[0]].predict(&surviving_readings)?);
+            return Ok(self.fitted.fallbacks[key[0]].predict(&surviving_readings)?);
         }
         if !self.multi_cache.contains_key(&key) {
             telemetry::counter("core.multi_exclusion_refits", 1);
-            let x_surv = self.x_sel.select_rows(&survivors);
-            let fit = lstsq::ols_with_intercept(&x_surv, &self.f_train)?;
+            let x_surv = self.fitted.x_sel.select_rows(&survivors);
+            let fit = lstsq::ols_with_intercept(&x_surv, &self.fitted.f_train)?;
             self.multi_cache.insert(key.clone(), fit);
         }
         let fit = self.multi_cache.get(&key).expect("inserted above");
@@ -792,6 +862,7 @@ impl GlDirectModel {
 mod tests {
     use super::*;
     use crate::SensorSelector;
+    use voltsense_testkit::{choice, forall, u64_range, usize_range};
 
     /// f0 = 0.9·x0 + 0.05, f1 = 0.5·x0 + 0.5·x2 (noiseless).
     fn training() -> (Matrix, Matrix) {
@@ -887,6 +958,119 @@ mod tests {
             ft.predict_excluding(&[0.9, f64::NAN, 0.9], &[2]),
             Err(CoreError::NonFiniteReading { sensor: 1 })
         ));
+    }
+
+    /// Values the lane kernels must carry through bit for bit: both
+    /// zeros, the smallest and largest subnormals of both signs, and
+    /// magnitudes whose products overflow to ±∞ (and whose sums of
+    /// opposite infinities make NaN).
+    const KERNEL_POOL: [f64; 10] = [
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        -f64::from_bits(0x000f_ffff_ffff_ffff),
+        1e300,
+        -1e300,
+        0.93,
+        -1.7,
+    ];
+
+    /// Deterministic value stream: half pool picks, half uniform in
+    /// `[-2, 2)`.
+    fn kernel_values(seed: u64, n: usize) -> Vec<f64> {
+        let mut state = seed | 1;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state & 1 == 0 {
+                    KERNEL_POOL[(state >> 1) as usize % KERNEL_POOL.len()]
+                } else {
+                    (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn per_reading_kernel_bit_equals_gemm_row_and_matvec_oracle() {
+        let targets: Vec<usize> = (1..=9).chain([240]).collect();
+        forall!(cases = 96, (
+            seed in u64_range(1, u64::MAX - 1),
+            q in usize_range(1, 18),
+            k in choice(targets),
+            b in usize_range(1, 5),
+            threads in choice(vec![1_usize, 2, 4])
+        ) => {
+            let coefficients = Matrix::from_vec(k, q, kernel_values(seed, k * q)).unwrap();
+            let intercept = kernel_values(seed ^ 0x5a5a, k);
+            let model = VoltageMapModel::from_parts(
+                (0..q).collect(),
+                q,
+                coefficients,
+                intercept,
+                0.0,
+            )
+            .unwrap();
+            let readings = Matrix::from_vec(b, q, kernel_values(seed ^ 0xa5a5, b * q)).unwrap();
+            let mut batch = Matrix::zeros(b, k);
+            parallel::with_threads(threads, || {
+                model.predict_batch_into(&readings, &mut batch).unwrap();
+            });
+            let (mut single, mut oracle) = (vec![0.0; k], vec![0.0; k]);
+            for row in 0..b {
+                model.predict_into(readings.row(row), &mut single).unwrap();
+                parallel::with_threads(threads, || {
+                    model.linear_fit().predict_into(readings.row(row), &mut oracle).unwrap();
+                });
+                for t in 0..k {
+                    let (x, y, z) = (single[t], batch.row(row)[t], oracle[t]);
+                    assert!(
+                        x.to_bits() == z.to_bits() && y.to_bits() == z.to_bits(),
+                        "row {row} target {t}: predict_into {x:e}, batch row {y:e}, matvec {z:e}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn clones_share_one_parameter_block_and_one_fingerprint() {
+        let (x, f) = training();
+        let model = VoltageMapModel::fit(&x, &f, &[0, 2]).unwrap();
+        let fit = model.linear_fit();
+        let copy = VoltageMapModel::from_parts(
+            model.sensor_indices().to_vec(),
+            model.num_candidates(),
+            fit.coefficients.clone(),
+            fit.intercept.clone(),
+            fit.rms_residual,
+        )
+        .unwrap();
+        let recorder = Arc::new(telemetry::MemoryRecorder::new());
+        telemetry::with_scoped(recorder.clone(), || {
+            let clones: Vec<VoltageMapModel> = (0..8).map(|_| model.clone()).collect();
+            for c in &clones {
+                assert!(c.shares_params(&model));
+                assert_eq!(c.params_fingerprint(), model.params_fingerprint());
+            }
+            assert!(!copy.shares_params(&model), "from_parts builds its own block");
+            assert_eq!(copy.params_fingerprint(), model.params_fingerprint());
+        });
+        let fingerprints = recorder.snapshot("fingerprint").counter("core.params_fingerprints");
+        assert_eq!(fingerprints, Some(2), "one hash per parameter block, not per clone");
+    }
+
+    #[test]
+    fn fault_tolerant_clones_share_the_fitted_parts() {
+        let (x, f) = training();
+        let ft = FaultTolerantModel::fit(&x, &f, &[0, 1, 2]).unwrap();
+        let clone = ft.clone();
+        assert!(Arc::ptr_eq(&ft.fitted, &clone.fitted));
+        assert!(clone.primary().shares_params(ft.primary()));
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //!    reading as one row of a per-model-group scratch matrix. Groups are
 //!    keyed by [`VoltageMapModel::params_fingerprint`] and found by a
 //!    scan of the plane's few groups; the first session to create a group
-//!    donates a canonical model clone, and every other session instance
-//!    is verified *bitwise* against it once before its readings may share
-//!    the group's GEMM — a 64-bit fingerprint collision therefore
-//!    degrades that session to the sequential path instead of ever
-//!    producing wrong predictions. The session remembers the group it was
-//!    verified into, so later readings route without hashing or scanning.
+//!    donates a handle to its model, and every other session instance is
+//!    verified against it once before its readings may share the group's
+//!    GEMM: at once when both handles share one parameter block
+//!    ([`VoltageMapModel::shares_params`], the usual case of sessions
+//!    built from one fitted model), else *bitwise* — a 64-bit fingerprint
+//!    collision therefore degrades that session to the sequential path
+//!    instead of ever producing wrong predictions. The session remembers
+//!    the group it was verified into, so later readings route without
+//!    hashing or scanning.
 //!    Readings that cannot
 //!    batch (wrong length, non-finite values, a monitor that opted out)
 //!    are routed sequentially so they produce the identical per-reading
@@ -43,6 +46,7 @@
 //! `alloc_gate` test).
 //!
 //! [`VoltageMapModel::params_fingerprint`]: voltsense_core::VoltageMapModel::params_fingerprint
+//! [`VoltageMapModel::shares_params`]: voltsense_core::VoltageMapModel::shares_params
 //! [`VoltageMapModel::predict_batch_into`]: voltsense_core::VoltageMapModel::predict_batch_into
 
 use std::mem;
@@ -100,7 +104,8 @@ struct WorkItem {
     route: Route,
 }
 
-/// Per-model staging: the canonical model and the recycled GEMM scratch.
+/// Per-model staging: the canonical model handle and the recycled GEMM
+/// scratch.
 /// Sessions verified against the model record the group's index
 /// themselves (`Session::batch_group`).
 struct Group {
@@ -108,9 +113,10 @@ struct Group {
     ///
     /// [`VoltageMapModel::params_fingerprint`]: voltsense_core::VoltageMapModel::params_fingerprint
     fp: u64,
-    /// Canonical clone donated by the first session that formed the group.
-    /// The GEMM always evaluates *this* model; members are bit-verified
-    /// against it, so substituting it for their own is exact.
+    /// Handle donated by the first session that formed the group (a clone
+    /// shares the session's parameter block; nothing is copied). The GEMM
+    /// always evaluates *this* model; members are verified against it, so
+    /// substituting it for their own is exact.
     model: VoltageMapModel,
     /// `rows × Q` staged readings (row-major, recycled).
     staged: Vec<f64>,
@@ -368,13 +374,13 @@ impl BatchPlane {
     }
 
     /// First reading of a session instance on this plane: find (or form)
-    /// the group for its model's fingerprint, verify the parameters
-    /// bitwise, and cache the group's index in the session. `None` when
-    /// the monitor opted out of batching or the fingerprint collided with
-    /// a genuinely different model (checked again on its next reading).
+    /// the group for its model's fingerprint, verify the parameters, and
+    /// cache the group's index in the session. `None` when the monitor
+    /// opted out of batching or the fingerprint collided with a genuinely
+    /// different model (checked again on its next reading).
     fn verify_into_group(&mut self, session: &mut Session) -> Option<usize> {
-        let fp = session.batch_fingerprint()?;
-        let model = session.batch_model().expect("a fingerprint implies a batchable model");
+        let model = session.batch_model()?;
+        let fp = model.params_fingerprint();
         let index = match self.groups.iter().position(|g| g.fp == fp) {
             Some(index) => index,
             None => {
@@ -411,9 +417,14 @@ fn observe_sequential(
 }
 
 /// Bitwise equality of the prediction parameters — the collision guard
-/// behind fingerprint grouping. Compares raw f64 bits: two models must
-/// produce identical predictions, not merely approximately equal ones.
+/// behind fingerprint grouping. Two handles on one parameter block are
+/// equal without a look; otherwise raw f64 bits are compared: two models
+/// must produce identical predictions, not merely approximately equal
+/// ones.
 fn same_params(a: &VoltageMapModel, b: &VoltageMapModel) -> bool {
+    if a.shares_params(b) {
+        return true;
+    }
     let (fa, fb) = (a.linear_fit(), b.linear_fit());
     fa.coefficients.shape() == fb.coefficients.shape()
         && fa.intercept.len() == fb.intercept.len()

@@ -264,8 +264,13 @@ impl Frame {
     /// Decode one body (kind byte + payload, checksum already verified).
     /// `spare` is a pool of recycled readings buffers; the `Readings` arm
     /// pops one instead of allocating when the pool is non-empty, which is
-    /// what keeps the steady-state decode path allocation-free.
-    fn decode_body(body: &[u8], spare: &mut Vec<Vec<f64>>) -> Result<Self, FrameError> {
+    /// what keeps the steady-state decode path allocation-free. A
+    /// `Readings` decode that finds the pool empty bumps `fresh`.
+    fn decode_body(
+        body: &[u8],
+        spare: &mut Vec<Vec<f64>>,
+        fresh: &mut u64,
+    ) -> Result<Self, FrameError> {
         let mut r = Reader { bytes: body, pos: 0 };
         let kind = r.u8()?;
         let frame = match kind {
@@ -286,7 +291,10 @@ impl Frame {
                 // `count` is now bounded, and the body itself already
                 // passed the frame-size cap: safe to (re)allocate.
                 let raw = r.take(8 * count)?;
-                let mut values = spare.pop().unwrap_or_default();
+                let mut values = spare.pop().unwrap_or_else(|| {
+                    *fresh += 1;
+                    Vec::new()
+                });
                 values.clear();
                 values.extend(raw.chunks_exact(8).map(|b| {
                     f64::from_le_bytes(b.try_into().expect("chunks_exact yields 8 bytes"))
@@ -439,6 +447,8 @@ pub struct FrameDecoder {
     /// Recycled readings buffers ([`recycle`](Self::recycle)); decoding a
     /// `Readings` frame reuses one instead of allocating.
     spare: Vec<Vec<f64>>,
+    /// `Readings` decodes that found no recycled buffer and allocated.
+    fresh_buffers: u64,
 }
 
 /// Most recycled readings buffers a decoder retains; beyond this,
@@ -448,7 +458,20 @@ const MAX_SPARE_BUFFERS: usize = 32;
 impl FrameDecoder {
     /// Decoder accepting bodies up to `max_frame` bytes.
     pub fn new(max_frame: usize) -> Self {
-        Self { buf: Vec::new(), start: 0, max_frame, poisoned: None, spare: Vec::new() }
+        Self {
+            buf: Vec::new(),
+            start: 0,
+            max_frame,
+            poisoned: None,
+            spare: Vec::new(),
+            fresh_buffers: 0,
+        }
+    }
+
+    /// `Readings` decodes so far that found no recycled buffer
+    /// ([`recycle`](Self::recycle)) and allocated a fresh one.
+    pub fn fresh_buffers(&self) -> u64 {
+        self.fresh_buffers
     }
 
     /// Return a spent readings buffer for reuse by a later `Readings`
@@ -512,7 +535,7 @@ impl FrameDecoder {
         if actual != expected {
             return Err(self.poison(FrameError::Checksum { expected, actual }));
         }
-        match Frame::decode_body(body, &mut self.spare) {
+        match Frame::decode_body(body, &mut self.spare, &mut self.fresh_buffers) {
             Ok(frame) => {
                 self.start += HEADER_LEN + len;
                 if self.start == self.buf.len() {

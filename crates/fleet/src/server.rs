@@ -140,6 +140,9 @@ pub struct FleetStats {
     pub restores: u64,
     /// Connections closed on framing errors.
     pub decode_errors: u64,
+    /// Readings decodes that allocated a values buffer because the
+    /// connection had no recycled one (see [`FrameDecoder::fresh_buffers`]).
+    pub decode_buffer_allocs: u64,
     /// Responses dropped on dead connections.
     pub responses_dropped: u64,
     /// Live sessions right now.
@@ -158,6 +161,7 @@ struct Counters {
     checkpoint_failures: AtomicU64,
     restores: AtomicU64,
     decode_errors: AtomicU64,
+    decode_buffer_allocs: AtomicU64,
     responses_dropped: AtomicU64,
 }
 
@@ -409,6 +413,7 @@ impl FleetServer {
             checkpoint_failures: c.checkpoint_failures.load(Ordering::Relaxed),
             restores: c.restores.load(Ordering::Relaxed),
             decode_errors: c.decode_errors.load(Ordering::Relaxed),
+            decode_buffer_allocs: c.decode_buffer_allocs.load(Ordering::Relaxed),
             responses_dropped: c.responses_dropped.load(Ordering::Relaxed),
             sessions: self.shared.session_count(),
         }
@@ -786,6 +791,7 @@ fn reader_loop(shared: Arc<Shared>, stream: TcpStream) {
     let mut stream = stream;
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100).min(shared.cfg.read_deadline)));
     let mut decoder = FrameDecoder::new(shared.cfg.max_frame);
+    let mut fresh_counted = 0;
     let mut buf = [0u8; 4096];
     let mut tenant: Option<u64> = None;
     let mut last_byte = Instant::now();
@@ -807,7 +813,16 @@ fn reader_loop(shared: Arc<Shared>, stream: TcpStream) {
                                 .unwrap_or(0);
                             shared.counters.frames.fetch_add(1, Ordering::Relaxed);
                             telemetry::counter(metrics::FRAMES_TOTAL, 1);
-                            if !handle_frame(&shared, &conn, &mut tenant, frame, decode_ns) {
+                            let fresh = decoder.fresh_buffers();
+                            if fresh != fresh_counted {
+                                shared
+                                    .counters
+                                    .decode_buffer_allocs
+                                    .fetch_add(fresh - fresh_counted, Ordering::Relaxed);
+                                fresh_counted = fresh;
+                            }
+                            if !handle_frame(&shared, &conn, &mut decoder, &mut tenant, frame, decode_ns)
+                            {
                                 conn.shutdown();
                                 return;
                             }
@@ -849,10 +864,12 @@ fn reader_loop(shared: Arc<Shared>, stream: TcpStream) {
 }
 
 /// Process one decoded frame. Returns `false` when the connection must
-/// close (protocol violation).
+/// close (protocol violation). `decoder` is the connection's: a readings
+/// offer hands it one of the session's spent buffers for its next decode.
 fn handle_frame(
     shared: &Arc<Shared>,
     conn: &Arc<ConnTx>,
+    decoder: &mut FrameDecoder,
     conn_tenant: &mut Option<u64>,
     frame: Frame,
     decode_ns: u64,
@@ -925,6 +942,12 @@ fn handle_frame(
             let offer = {
                 let mut guard = entry.lock().unwrap_or_else(|e| e.into_inner());
                 guard.conn = Some(conn.clone());
+                // The lock is held anyway: take back one buffer a drain
+                // spent, so the next decode on this connection reuses it
+                // instead of allocating.
+                if let Some(spare) = guard.session.take_spare() {
+                    decoder.recycle(spare);
+                }
                 guard.session.offer(seq, values, pending)
             };
             match offer {

@@ -264,11 +264,6 @@ pub struct Session {
     /// re-hello after eviction) starts unverified and the cache never
     /// outlives the monitor it vouched for.
     pub(crate) batch_group: Option<(u64, usize)>,
-    /// Cached [`VoltageMapModel::params_fingerprint`] of the monitor's
-    /// batch model: `None` = not yet computed, `Some(None)` = the monitor
-    /// opted out of batching. Models are immutable per instance, so one
-    /// computation suffices.
-    batch_fp: Option<Option<u64>>,
 }
 
 /// Most spent readings buffers a session retains for recycling.
@@ -291,17 +286,7 @@ impl Session {
             checkpoint_due: false,
             spare: Vec::new(),
             batch_group: None,
-            batch_fp: None,
         }
-    }
-
-    /// Fingerprint of the monitor's batchable model, or `None` when the
-    /// monitor opted out of GEMM batching. Computed once per instance.
-    pub fn batch_fingerprint(&mut self) -> Option<u64> {
-        if self.batch_fp.is_none() {
-            self.batch_fp = Some(self.monitor.batch_model().map(|m| m.params_fingerprint()));
-        }
-        self.batch_fp.expect("just populated")
     }
 
     /// The monitor's batchable model, if any.

@@ -91,9 +91,9 @@ fn batched_gather_gemm_scatter_is_alloc_free() {
         let (mut s0, mut s1, mut s2) = (session(0), session(1), session(2));
         let mut plane = BatchPlane::new(2);
         // Warm passes populate every lazy piece the steady state reuses:
-        // the model's transpose + fingerprint caches, the plane's model
-        // group (canonical clone, verified instance set, staged/output
-        // scratch), the work-item and response vectors, and each
+        // the model's fingerprint, the plane's model group (its model
+        // handle and staged/output scratch), each session's verified
+        // group index, the work-item and response vectors, and each
         // session's spare buffer.
         for _ in 0..2 {
             for s in [&mut s0, &mut s1, &mut s2] {

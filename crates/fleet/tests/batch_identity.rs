@@ -14,11 +14,16 @@
 //! 1×1 identity model, a session with a unique model (singleton group),
 //! and a session whose monitor opts out of batching entirely.
 
+use std::time::Instant;
+
 use voltsense_core::{CoreError, EmergencyMonitor, MonitorDecision, VoltageMapModel};
-use voltsense_fleet::session::{ChipMonitor, Drained, LadderConfig, Session, SessionKey};
+use voltsense_fleet::session::{
+    ChipMonitor, Drained, LadderConfig, PendingTrace, Session, SessionKey,
+};
 use voltsense_fleet::BatchPlane;
 use voltsense_linalg::Matrix;
 use voltsense_parallel::with_threads;
+use voltsense_telemetry::trace::TraceContext;
 use voltsense_testkit::{choice, forall, u64_range, usize_range};
 
 /// Deterministic xorshift64 so both fleets (and every case replay) see
@@ -266,5 +271,94 @@ fn gemm_rows_bit_equal_single_predictions() {
                 }
             }
         });
+    });
+}
+
+/// Drains `models` (one session each) through a plane at occupancy floor
+/// 2 and, separately, sequentially, for a few passes of one traced
+/// reading per session. Asserts the frames agree byte for byte and
+/// returns, per session, whether every reading took the GEMM.
+fn batched_per_session(models: &[VoltageMapModel], seed: u64) -> Vec<bool> {
+    let fleet = || -> Vec<Session> {
+        models
+            .iter()
+            .enumerate()
+            .map(|(i, model)| {
+                let monitor = EmergencyMonitor::new(model.clone(), 0.8, 1, 0.0).unwrap();
+                let key = SessionKey { tenant: 9, chip: i as u64 };
+                Session::new(key, Box::new(monitor), LadderConfig::default())
+            })
+            .collect()
+    };
+    let (mut batched, mut sequential) = (fleet(), fleet());
+    let mut plane = BatchPlane::new(2);
+    let mut rng = Rng::new(seed);
+    let mut all_gemm = vec![true; models.len()];
+    for seq in 0..6_u64 {
+        for (slot, model) in models.iter().enumerate() {
+            let values: Vec<f64> =
+                (0..model.num_sensors()).map(|_| rng.next_f64(0.6, 1.2)).collect();
+            let trace = PendingTrace {
+                ctx: TraceContext::derive(9, slot as u64, seq),
+                decode_ns: 0,
+                enqueued: Instant::now(),
+            };
+            batched[slot].offer(seq, values.clone(), Some(trace));
+            sequential[slot].offer(seq, values, Some(trace));
+        }
+        let mut refs: Vec<&mut Session> = batched.iter_mut().collect();
+        plane.drain(&mut refs, 4, usize::MAX);
+        let mut plane_frames: Vec<Vec<Vec<u8>>> = vec![Vec::new(); models.len()];
+        for d in plane.drained() {
+            plane_frames[d.slot].push(d.drained.frame.encode());
+            let draft = d.drained.trace.expect("every reading is traced");
+            all_gemm[d.slot] &= draft.batched;
+        }
+        for (slot, session) in sequential.iter_mut().enumerate() {
+            let frames: Vec<Vec<u8>> =
+                session.drain(4, usize::MAX).iter().map(|d| d.frame.encode()).collect();
+            assert_eq!(plane_frames[slot], frames, "seq {seq} slot {slot} frames diverged");
+        }
+    }
+    all_gemm
+}
+
+/// A model rebuilt with `from_parts` is a separate parameter block with
+/// the same bits: the bitwise guard admits it into the group of the
+/// model it copies, so both sessions share one GEMM.
+#[test]
+fn equal_bits_in_a_separate_block_join_the_group() {
+    forall!(cases = 8, (seed in u64_range(1, u64::MAX - 1)) => {
+        let mut rng = Rng::new(seed);
+        let model = random_model(3, 2, &mut rng);
+        let fit = model.linear_fit();
+        let copy = VoltageMapModel::from_parts(
+            model.sensor_indices().to_vec(),
+            model.num_candidates(),
+            fit.coefficients.clone(),
+            fit.intercept.clone(),
+            fit.rms_residual,
+        )
+        .unwrap();
+        assert!(!copy.shares_params(&model));
+        assert_eq!(batched_per_session(&[model, copy], seed), vec![true, true]);
+    });
+}
+
+/// A model whose bits differ but whose fingerprint is forced equal to a
+/// group's is refused by the bitwise check behind the shared-block fast
+/// path: it predicts alone with its own parameters (the frames match its
+/// own sequential drain), while the two handles on the group's block
+/// still batch together.
+#[test]
+fn forced_fingerprint_collision_is_still_refused() {
+    forall!(cases = 8, (seed in u64_range(1, u64::MAX - 1)) => {
+        let mut rng = Rng::new(seed);
+        let model = random_model(3, 2, &mut rng);
+        let other = random_model(3, 2, &mut rng);
+        let impostor = other.with_forced_fingerprint(model.params_fingerprint());
+        assert_eq!(impostor.params_fingerprint(), model.params_fingerprint());
+        let got = batched_per_session(&[model.clone(), model, impostor], seed);
+        assert_eq!(got, vec![true, true, false]);
     });
 }

@@ -456,3 +456,31 @@ fn checkpoints_are_serialized_only_when_written() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The reader thread hands one of the session's spent readings buffers
+/// back to its connection's decoder under the lock it already holds for
+/// the offer, so a closed-loop client's readings stop allocating decode
+/// buffers after the first two: the first decode finds nothing to reuse,
+/// and the second is offered before any drain has spent a buffer.
+#[test]
+fn steady_readings_decodes_reuse_spent_buffers() {
+    let mut server = FleetServer::start(fast_cfg(), identity_factory()).unwrap();
+    let mut client = quiet_client(&server, 1);
+    client.hello(3).unwrap();
+    let readings = 64;
+    for seq in 0..readings {
+        client.send_readings(3, seq, &[0.95]).unwrap();
+        client
+            .wait_for(Duration::from_secs(5), |f| {
+                matches!(f, Frame::Decision { seq: s, .. } if *s == seq)
+            })
+            .unwrap();
+    }
+    let stats = server.stats();
+    server.stop();
+    assert!(
+        stats.decode_buffer_allocs <= 2,
+        "{} of {readings} readings decodes allocated a buffer",
+        stats.decode_buffer_allocs
+    );
+}

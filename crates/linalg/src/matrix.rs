@@ -52,6 +52,38 @@ fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
+/// Adds `a[k] · rhs.row(k)` for every `k` in `kb..kend` into `out`, under
+/// the lane identity (see [`LANE`]): four `rhs` rows fused per update as
+/// `o += ((a0·r0 + a1·r1) + a2·r2) + a3·r3`, then the tail one row at a
+/// time. `kb` must be a multiple of `LANE`, so chunks stay aligned to
+/// index 0 across the k-blocks of a blocked caller; summed over all
+/// blocks from a zeroed `out`, each entry is the [`dot_lanes`] of `a`
+/// with a column of `rhs`.
+#[inline]
+fn accumulate_rows(a: &[f64], rhs: &Matrix, kb: usize, kend: usize, out: &mut [f64]) {
+    debug_assert_eq!(kb % LANE, 0);
+    let lanes_end = kb + ((kend - kb) & !(LANE - 1));
+    let mut k = kb;
+    while k < lanes_end {
+        let (a0, a1, a2, a3) = (a[k], a[k + 1], a[k + 2], a[k + 3]);
+        let r0 = rhs.row(k);
+        let r1 = rhs.row(k + 1);
+        let r2 = rhs.row(k + 2);
+        let r3 = rhs.row(k + 3);
+        for ((((o, &v0), &v1), &v2), &v3) in out.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+            *o += a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
+        }
+        k += LANE;
+    }
+    while k < kend {
+        let ak = a[k];
+        for (o, &r) in out.iter_mut().zip(rhs.row(k)) {
+            *o += ak * r;
+        }
+        k += 1;
+    }
+}
+
 /// A dense, row-major, `f64` matrix.
 ///
 /// `Matrix` is the workhorse container of the workspace: training data
@@ -410,31 +442,8 @@ impl Matrix {
         parallel::for_each_row_block(&mut out.data, n, min_rows, |first, block| {
             for kb in (0..self.cols).step_by(MATMUL_K_BLOCK) {
                 let kend = (kb + MATMUL_K_BLOCK).min(self.cols);
-                let lanes_end = kb + ((kend - kb) & !(LANE - 1));
                 for (local, orow) in block.chunks_mut(n).enumerate() {
-                    let arow = self.row(first + local);
-                    let mut k = kb;
-                    while k < lanes_end {
-                        let (a0, a1, a2, a3) = (arow[k], arow[k + 1], arow[k + 2], arow[k + 3]);
-                        let r0 = rhs.row(k);
-                        let r1 = rhs.row(k + 1);
-                        let r2 = rhs.row(k + 2);
-                        let r3 = rhs.row(k + 3);
-                        for ((((o, &v0), &v1), &v2), &v3) in
-                            orow.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3)
-                        {
-                            *o += a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3;
-                        }
-                        k += LANE;
-                    }
-                    while k < kend {
-                        let aik = arow[k];
-                        let rrow = rhs.row(k);
-                        for (o, &r) in orow.iter_mut().zip(rrow) {
-                            *o += aik * r;
-                        }
-                        k += 1;
-                    }
+                    accumulate_rows(self.row(first + local), rhs, kb, kend, orow);
                 }
             }
         });
@@ -484,6 +493,38 @@ impl Matrix {
             }
         }
         Ok(out)
+    }
+
+    /// Row-vector product `vᵀ · self` into `out` (length `self.cols()`),
+    /// serial and allocation-free: one row of [`Matrix::matmul`] without
+    /// the pool dispatch. Each `out[j]` carries the bits of the lane
+    /// identity dot of `v` with column `j`, so on a transposed matrix this
+    /// equals [`Matrix::matvec_into`] on the original bit for bit — the
+    /// per-reading prediction kernel runs on a model's `Q×K` transpose
+    /// this way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `v.len() != self.rows()`
+    /// or `out.len() != self.cols()`.
+    pub fn vecmat_into(&self, v: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
+        if v.len() != self.rows {
+            return Err(LinalgError::ShapeMismatch {
+                op: "vecmat",
+                left: (1, v.len()),
+                right: self.shape(),
+            });
+        }
+        if out.len() != self.cols {
+            return Err(LinalgError::ShapeMismatch {
+                op: "vecmat_into",
+                left: (1, self.cols),
+                right: (1, out.len()),
+            });
+        }
+        out.fill(0.0);
+        accumulate_rows(v, self, 0, self.rows, out);
+        Ok(())
     }
 
     /// Computes `self * selfᵀ` (a symmetric `rows x rows` Gram matrix)

@@ -59,3 +59,14 @@ fn matvec_into_is_alloc_free() {
         });
     });
 }
+
+#[test]
+fn vecmat_into_is_alloc_free() {
+    let a = filled(24, 32, 0.3);
+    let v: Vec<f64> = (0..24).map(|i| (i as f64) * 0.25 - 3.0).collect();
+    let mut out = vec![0.0; 32];
+    // Serial by construction: no `with_threads` needed.
+    alloc_gate!("linalg.vecmat_into", 32, || {
+        a.vecmat_into(&v, &mut out).unwrap();
+    });
+}

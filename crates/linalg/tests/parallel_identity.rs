@@ -69,6 +69,24 @@ fn matvec_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn vecmat_on_the_transpose_bit_equals_matvec() {
+    // The serial row kernel on `Aᵀ` against the pooled matvec on `A`:
+    // 1100×500 fans the matvec out, and the odd column count leaves a
+    // lane tail in every dot.
+    forall!(cases = 4, (m in matrix(1100, 501, -10.0, 10.0),
+                        v in vec_f64(501, -10.0, 10.0)) => {
+        let mt = m.transpose();
+        let mut got = vec![0.0; 1100];
+        mt.vecmat_into(&v, &mut got).unwrap();
+        for threads in THREADS {
+            let want = with_threads(threads, || m.matvec(&v).unwrap());
+            let same = got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "vecmat diverged from matvec at {threads} threads");
+        }
+    });
+}
+
+#[test]
 fn transpose_and_select_rows_bit_identical_across_thread_counts() {
     forall!(cases = 4, (m in matrix(300, 500, -10.0, 10.0)) => {
         let t1 = with_threads(1, || m.transpose());
