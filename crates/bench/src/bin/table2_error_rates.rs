@@ -14,15 +14,7 @@ use voltsense_bench::{fmt_rate, rule, Experiment, NUM_BENCHMARKS};
 fn main() {
     // Always-on flight recorder (the production posture; also serves
     // VOLTSENSE_TELEMETRY exports and VOLTSENSE_TELEMETRY_ADDR scrapes).
-    // VOLTSENSE_FLIGHT=0 opts out — that is the baseline the ≤1%
-    // always-on overhead bound is measured against.
-    let flight_off = voltsense::telemetry::env::value("VOLTSENSE_FLIGHT")
-        .is_some_and(|v| voltsense::telemetry::env::is_falsy(&v));
-    let _telemetry = if flight_off {
-        None
-    } else {
-        Some(voltsense::telemetry::init_always_on("table2_error_rates"))
-    };
+    let _telemetry = voltsense::telemetry::init_always_on("table2_error_rates");
     let exp = Experiment::from_env();
     let config = MethodologyConfig::default();
     let threshold = config.emergency_threshold;

@@ -53,14 +53,7 @@ impl Methodology {
         f: &Matrix,
         config: &MethodologyConfig,
     ) -> Result<FittedMethodology, CoreError> {
-        if !config.emergency_threshold.is_finite() || config.emergency_threshold <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                what: format!(
-                    "emergency threshold must be finite and > 0, got {}",
-                    config.emergency_threshold
-                ),
-            });
-        }
+        check_emergency_threshold(config)?;
         let _span = telemetry::span("methodology.fit");
         // Steps 1–5: normalize + group lasso + threshold.
         let selector = SensorSelector::with_options(
@@ -98,26 +91,8 @@ impl Methodology {
         q: usize,
         config: &MethodologyConfig,
     ) -> Result<FittedMethodology, CoreError> {
-        if !config.emergency_threshold.is_finite() || config.emergency_threshold <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                what: format!(
-                    "emergency threshold must be finite and > 0, got {}",
-                    config.emergency_threshold
-                ),
-            });
-        }
-        let _span = telemetry::span("methodology.fit_with_sensor_count");
-        // Build the (expensive) covariance form once and bisect the
-        // penalty directly for the target count.
-        let prepared = crate::selection::SelectionProblem::new(x, f)?;
-        let selection = prepared.select_with_count(q, config.threshold, &config.gl_options)?;
-        telemetry::gauge("methodology.sensors", selection.selected.len() as f64);
-        let model = VoltageMapModel::fit(x, f, &selection.selected)?;
-        Ok(FittedMethodology {
-            selection,
-            model,
-            emergency_threshold: config.emergency_threshold,
-        })
+        let mut fitted = Self::fit_with_sensor_count_sweep(x, f, &[q], config)?;
+        Ok(fitted.remove(0))
     }
 
     /// Fits the pipeline at every budget in `lambdas` (the paper's Table 1
@@ -137,14 +112,7 @@ impl Methodology {
         lambdas: &[f64],
         config: &MethodologyConfig,
     ) -> Result<Vec<FittedMethodology>, CoreError> {
-        if !config.emergency_threshold.is_finite() || config.emergency_threshold <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                what: format!(
-                    "emergency threshold must be finite and > 0, got {}",
-                    config.emergency_threshold
-                ),
-            });
-        }
+        check_emergency_threshold(config)?;
         if lambdas.is_empty() {
             return Err(CoreError::InvalidConfig {
                 what: "fit_sweep needs at least one lambda".into(),
@@ -183,14 +151,7 @@ impl Methodology {
         qs: &[usize],
         config: &MethodologyConfig,
     ) -> Result<Vec<FittedMethodology>, CoreError> {
-        if !config.emergency_threshold.is_finite() || config.emergency_threshold <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                what: format!(
-                    "emergency threshold must be finite and > 0, got {}",
-                    config.emergency_threshold
-                ),
-            });
-        }
+        check_emergency_threshold(config)?;
         if qs.is_empty() {
             return Err(CoreError::InvalidConfig {
                 what: "fit_with_sensor_count_sweep needs at least one target count".into(),
@@ -211,6 +172,20 @@ impl Methodology {
             });
         }
         Ok(fitted)
+    }
+}
+
+/// The paper's 0.85 V test needs a finite, positive threshold.
+fn check_emergency_threshold(config: &MethodologyConfig) -> Result<(), CoreError> {
+    if config.emergency_threshold.is_finite() && config.emergency_threshold > 0.0 {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidConfig {
+            what: format!(
+                "emergency threshold must be finite and > 0, got {}",
+                config.emergency_threshold
+            ),
+        })
     }
 }
 

@@ -24,7 +24,7 @@ use voltsense_telemetry::json::{self, Value};
 use voltsense_telemetry::serve::{self, SnapshotSource};
 use voltsense_telemetry::slo::SloConfig;
 use voltsense_telemetry::trace::{TraceConfig, STAGES};
-use voltsense_telemetry::{flight, FlightRecorder};
+use voltsense_telemetry::{flight, MemoryRecorder};
 
 const TENANT: u64 = 3;
 const READINGS: u64 = 16;
@@ -71,7 +71,7 @@ fn fleet_routes_serve_traces_a_paging_slo_healthz_and_an_incident() {
         std::env::temp_dir().join(format!("voltsense_fleet_routes_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&incident_dir);
     std::env::set_var("VOLTSENSE_INCIDENT_DIR", &incident_dir);
-    flight::install(Arc::new(FlightRecorder::new(64)));
+    flight::install(Arc::new(MemoryRecorder::bounded(64)));
 
     let cfg = FleetConfig {
         tick: Duration::from_millis(2),
@@ -87,7 +87,7 @@ fn fleet_routes_serve_traces_a_paging_slo_healthz_and_an_incident() {
     };
     let mut server = FleetServer::start(cfg, identity_factory()).expect("bind fleet server");
     server.install_observability();
-    let source: SnapshotSource = Arc::new(|| FlightRecorder::new(1).snapshot("fleet_routes"));
+    let source: SnapshotSource = Arc::new(|| MemoryRecorder::bounded(1).snapshot("fleet_routes"));
     let endpoint = serve::serve("127.0.0.1:0", source).expect("bind endpoint");
     let addr = endpoint.addr();
 

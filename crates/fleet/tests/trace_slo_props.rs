@@ -269,7 +269,7 @@ fn endpoint_serves_traces_slo_and_healthz_flips_on_quarantine() {
     let mut server = FleetServer::start(traced_cfg(1), factory).unwrap();
     server.install_observability();
     let source: voltsense_telemetry::serve::SnapshotSource =
-        Arc::new(|| voltsense_telemetry::FlightRecorder::new(16).snapshot("trace_slo_props"));
+        Arc::new(|| voltsense_telemetry::MemoryRecorder::bounded(16).snapshot("trace_slo_props"));
     let endpoint = voltsense_telemetry::serve::serve("127.0.0.1:0", source).expect("bind");
 
     let mut client = FleetClient::new(

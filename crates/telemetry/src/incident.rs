@@ -3,8 +3,8 @@
 //!
 //! When an [`EmergencyMonitor`](../../voltsense_core/monitor/index.html)
 //! asserts an alarm, trips a plausibility gate, hot-swaps a fallback
-//! model, or degrades beyond recovery, it calls [`report`]. If a
-//! [`FlightRecorder`] is registered
+//! model, or degrades beyond recovery, it calls [`report`]. If a flight
+//! recorder is registered
 //! ([`crate::flight::install`] / [`crate::init_always_on`]), the last-N
 //! window of ring events plus a full exact-metrics snapshot is written as
 //! one timestamped `voltsense-incident-v1` JSON file — so every emergency
@@ -35,6 +35,11 @@
 //! }
 //! ```
 //!
+//! `ring` and the embedded snapshot hold at most the newest
+//! `VOLTSENSE_FLIGHT_CAPACITY` (default 4096) ring entries, even when the
+//! recorder is unbounded. A closed span appears in `ring` as
+//! `{name, at_ns, fields: {dur_ns}}`.
+//!
 //! `traces` is the registered trace buffer ([`crate::trace::current`]) at
 //! the moment of the incident, or `null` when none is installed.
 
@@ -45,7 +50,8 @@ use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::export::{fmt_f64, push_json_string};
-use crate::flight::{self, FlightRecorder};
+use crate::flight;
+use crate::recorder::MemoryRecorder;
 
 /// Default per-kind cap on incident files written by one process.
 pub const DEFAULT_MAX_PER_KIND: u64 = 16;
@@ -112,7 +118,7 @@ pub fn report(incident: &Incident) -> Option<PathBuf> {
 /// Applies no cap — [`report`] is the rate-limited entry point.
 pub fn write(
     incident: &Incident,
-    recorder: &FlightRecorder,
+    recorder: &MemoryRecorder,
     dir: &Path,
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
@@ -127,7 +133,8 @@ pub fn write(
 }
 
 /// The `voltsense-incident-v1` document for one incident.
-fn render(incident: &Incident, recorder: &FlightRecorder, seq: u64, unix_ms: u64) -> String {
+fn render(incident: &Incident, recorder: &MemoryRecorder, seq: u64, unix_ms: u64) -> String {
+    let window = flight::capacity_from_env();
     let mut out = String::with_capacity(8192);
     out.push_str("{\n  \"schema\": \"voltsense-incident-v1\",\n  \"kind\": ");
     push_json_string(&mut out, incident.kind);
@@ -158,7 +165,7 @@ fn render(incident: &Incident, recorder: &FlightRecorder, seq: u64, unix_ms: u64
         ));
     }
     out.push_str("\n  ],\n  \"ring\": [");
-    for (i, e) in recorder.ring_events().iter().enumerate() {
+    for (i, e) in recorder.newest_ring_events(window).iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -180,7 +187,7 @@ fn render(incident: &Incident, recorder: &FlightRecorder, seq: u64, unix_ms: u64
     // The metrics snapshot is itself a complete `voltsense-metrics-v1`
     // document; embed it verbatim as a nested object.
     out.push_str("\n  ],\n  \"metrics\": ");
-    out.push_str(recorder.snapshot(incident.kind).to_json().trim_end());
+    out.push_str(recorder.snapshot_newest(incident.kind, window).to_json().trim_end());
     // Likewise the trace buffer (`voltsense-trace-v1`), when one is
     // registered: the slowest traces at the moment of the incident are
     // exactly the request-level evidence a burn-rate page needs.

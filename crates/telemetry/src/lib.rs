@@ -1,10 +1,11 @@
 //! # voltsense-telemetry
 //!
 //! Zero-external-dependency observability for the voltsense workspace:
-//! a [`Recorder`] trait with a zero-cost no-op default, a thread-safe
-//! [`MemoryRecorder`] (RAII hierarchical spans, counters, gauges, log-scale
-//! histograms with percentile queries), and exporters for a JSON snapshot,
-//! a Chrome trace-event file, and a plain-text summary table.
+//! a [`Recorder`] trait that costs nothing when no recorder is active, one
+//! thread-safe implementation, [`MemoryRecorder`] (RAII hierarchical spans,
+//! counters, gauges, log-scale histograms with percentile queries, and an
+//! event ring whose capacity sets retention), and exporters for a JSON
+//! snapshot, a Chrome trace-event file, and a plain-text summary table.
 //!
 //! Instrumented code calls the free functions in this module
 //! ([`span`], [`counter`], [`gauge`], [`histogram`], [`event`]). When no
@@ -38,12 +39,9 @@ pub mod slo;
 pub mod trace;
 
 pub use export::Snapshot;
-pub use flight::{FlightRecorder, RingEvent, SamplerStat};
+pub use flight::{RingEvent, SamplerStat};
 pub use histogram::Histogram;
-pub use recorder::{
-    Detail, EventRecord, FanoutRecorder, MemoryRecorder, NoopRecorder, Recorder, SpanId,
-    SpanRecord,
-};
+pub use recorder::{Detail, MemoryRecorder, Recorder, SpanId};
 
 use std::cell::{Cell, RefCell};
 use std::path::{Path, PathBuf};
@@ -70,9 +68,9 @@ pub fn enabled() -> bool {
 ///
 /// Instrumentation sites whose signal values cost real compute (a full
 /// objective evaluation per solver iteration) must guard on this instead
-/// of [`enabled`]: a full-capture [`MemoryRecorder`] answers `true`, the
-/// always-on [`FlightRecorder`] answers `false`, so production processes
-/// never pay for diagnostics nobody asked for.
+/// of [`enabled`]: an unbounded [`MemoryRecorder`] answers `true`, a
+/// bounded (always-on) one answers `false`, so production processes never
+/// pay for diagnostics nobody asked for.
 #[inline]
 pub fn detailed() -> bool {
     current_recorder().is_some_and(|r| r.detail() == Detail::Full)
@@ -284,8 +282,7 @@ pub fn init_from_env(suite: &str) -> Option<TelemetryGuard> {
 }
 
 /// The `VOLTSENSE_TELEMETRY` contract of [`init_from_env`] minus the
-/// global installation: build the recorder + export guard and let the
-/// caller decide how signals reach it (directly, or via a fanout).
+/// global installation: an unbounded recorder plus its export guard.
 fn export_guard_from_env(suite: &str) -> Option<TelemetryGuard> {
     let raw = env::value("VOLTSENSE_TELEMETRY")?;
     if env::is_falsy(&raw) {
@@ -303,10 +300,10 @@ fn export_guard_from_env(suite: &str) -> Option<TelemetryGuard> {
     })
 }
 
-/// Handle returned by [`init_always_on`]: owns the flight recorder, the
-/// optional full-detail export capture, and the optional live endpoint.
+/// Handle returned by [`init_always_on`]: owns the process recorder, the
+/// optional export of it, and the optional live endpoint.
 pub struct ObservabilityGuard {
-    flight: Arc<FlightRecorder>,
+    flight: Arc<MemoryRecorder>,
     /// Declared before `_export` so the endpoint stops before the export
     /// capture is finalized on drop.
     _server: Option<serve::Server>,
@@ -316,24 +313,26 @@ pub struct ObservabilityGuard {
 }
 
 impl ObservabilityGuard {
-    /// The always-on flight recorder.
-    pub fn flight(&self) -> &Arc<FlightRecorder> {
+    /// The process recorder, also registered as the flight recorder.
+    pub fn flight(&self) -> &Arc<MemoryRecorder> {
         &self.flight
     }
 }
 
 /// Always-on observability for long-running processes (DESIGN.md §7):
 ///
-/// 1. registers a [`FlightRecorder`] (capacity `VOLTSENSE_FLIGHT_CAPACITY`,
-///    default 4096 events) as the process flight recorder — incident
-///    snapshots ([`incident::report`]) freeze it on demand;
+/// 1. installs one [`MemoryRecorder`] as both the global sink and the
+///    process flight recorder ([`flight::install`]) — incident snapshots
+///    ([`incident::report`]) freeze it on demand. It is bounded
+///    (capacity `VOLTSENSE_FLIGHT_CAPACITY`, default 4096 entries,
+///    [`Detail::Sampled`]) unless `VOLTSENSE_TELEMETRY` is set;
 /// 2. honours `VOLTSENSE_TELEMETRY` exactly like [`init_from_env`]; when
-///    set, signals fan out to *both* the export capture and the flight
-///    recorder, and the export still lands on guard drop;
+///    set, the recorder is unbounded ([`Detail::Full`]) and its export
+///    lands on guard drop;
 /// 3. honours `VOLTSENSE_TELEMETRY_ADDR` (`host:port` or bare port, port 0
 ///    for OS-assigned): starts [`serve::serve`] with `GET /metrics`
 ///    (Prometheus) and `GET /snapshot` (JSON) rendered live from the
-///    flight recorder;
+///    recorder's newest `VOLTSENSE_FLIGHT_CAPACITY` ring entries;
 /// 4. honours `VOLTSENSE_PROFILE` / `VOLTSENSE_PROFILE_HZ`: starts the
 ///    continuous span-stack sampler ([`profile::start_from_env`]), whose
 ///    folded profile is served at `GET /profile` and embedded in
@@ -343,17 +342,14 @@ impl ObservabilityGuard {
 /// nothing set you still get the bounded-memory recorder and incident
 /// files, at [`Detail::Sampled`] cost.
 pub fn init_always_on(suite: &str) -> ObservabilityGuard {
-    let flight = Arc::new(FlightRecorder::from_env());
-    flight::install(flight.clone());
+    let window = flight::capacity_from_env();
     let export = export_guard_from_env(suite);
-    let recorder: Arc<dyn Recorder> = match &export {
-        Some(guard) => Arc::new(recorder::FanoutRecorder::new(vec![
-            guard.recorder.clone() as Arc<dyn Recorder>,
-            flight.clone() as Arc<dyn Recorder>,
-        ])),
-        None => flight.clone(),
+    let flight = match &export {
+        Some(guard) => guard.recorder.clone(),
+        None => Arc::new(MemoryRecorder::bounded(window)),
     };
-    if install_global(recorder).is_err() {
+    flight::install(flight.clone());
+    if install_global(flight.clone()).is_err() {
         eprintln!(
             "[telemetry] a global recorder is already installed; \
              the always-on flight recorder will receive no signals"
@@ -362,7 +358,8 @@ pub fn init_always_on(suite: &str) -> ObservabilityGuard {
     let server = env::value("VOLTSENSE_TELEMETRY_ADDR").and_then(|addr| {
         let suite = suite.to_string();
         let source_flight = flight.clone();
-        let source: serve::SnapshotSource = Arc::new(move || source_flight.snapshot(&suite));
+        let source: serve::SnapshotSource =
+            Arc::new(move || source_flight.snapshot_newest(&suite, window));
         match serve::serve(&addr, source) {
             Ok(server) => {
                 eprintln!("[telemetry] serving /metrics and /snapshot on http://{}", server.addr());

@@ -1,11 +1,14 @@
-//! The `Recorder` trait, the zero-cost no-op recorder, and the thread-safe
-//! in-memory recorder used for real captures.
+//! The `Recorder` trait and its one implementation, [`MemoryRecorder`]:
+//! exact aggregates plus a deterministic, optionally bounded ring of
+//! events and closed spans.
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-use std::thread::ThreadId;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
+use crate::export::{EventSummary, HistogramSummary, Snapshot, SpanSummary};
+use crate::flight::{RingEvent, SamplerStat};
 use crate::histogram::Histogram;
 
 /// Opaque handle returned by [`Recorder::span_begin`] and consumed by
@@ -23,8 +26,8 @@ impl SpanId {
 /// Some diagnostics are *expensive to compute* (a full objective
 /// evaluation per solver iteration costs more than the iteration).
 /// Call sites guard those behind [`crate::detailed`], which is only true
-/// for `Full`-detail recorders — an always-on [`crate::FlightRecorder`]
-/// reports `Sampled` and never pays for them.
+/// for `Full`-detail recorders — a bounded (always-on)
+/// [`MemoryRecorder`] reports `Sampled` and never pays for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Detail {
     /// Bounded-memory, always-on recording: cheap signals only.
@@ -61,88 +64,106 @@ pub trait Recorder: Send + Sync {
     }
 }
 
-/// Recorder that drops everything. Every method is an empty inlineable body,
-/// so instrumentation dispatched here costs a virtual call at most — and the
-/// crate-level helpers skip even that when telemetry is disabled.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline]
-    fn span_begin(&self, _name: &'static str) -> SpanId {
-        SpanId::NONE
+/// Process-wide tag of the calling thread, assigned on first use.
+/// Snapshots renumber the tags they hold densely.
+fn thread_tag() -> u32 {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    thread_local! {
+        static TAG: u32 = NEXT.fetch_add(1, Ordering::Relaxed);
     }
-    #[inline]
-    fn span_end(&self, _id: SpanId) {}
-    #[inline]
-    fn counter_add(&self, _name: &'static str, _delta: u64) {}
-    #[inline]
-    fn gauge_set(&self, _name: &'static str, _value: f64) {}
-    #[inline]
-    fn histogram_record(&self, _name: &'static str, _value: f64, _unit: &'static str) {}
-    #[inline]
-    fn event(&self, _name: &'static str, _fields: &[(&'static str, f64)]) {}
+    TAG.with(|t| *t)
 }
 
-/// One closed (or still-open) span as stored by [`MemoryRecorder`].
-#[derive(Debug, Clone)]
-pub struct SpanRecord {
-    pub name: &'static str,
-    /// Nanoseconds since the recorder was created.
-    pub start_ns: u64,
-    /// Nanoseconds since the recorder was created; `None` while open.
-    pub end_ns: Option<u64>,
-    /// Index into the span list of the enclosing span on the same thread.
-    pub parent: Option<usize>,
-    /// Dense per-recorder thread index (0 = first thread seen).
-    pub thread: usize,
+/// One retained ring entry: an event, or one closed span.
+struct Entry {
+    /// Global admission sequence number.
+    seq: u64,
+    name: &'static str,
+    /// The event's time, or the span's close time.
+    at_ns: u64,
+    thread: u32,
+    body: Body,
 }
 
-/// One timestamped event as stored by [`MemoryRecorder`].
-#[derive(Debug, Clone)]
-pub struct EventRecord {
-    pub name: &'static str,
-    /// Nanoseconds since the recorder was created.
-    pub at_ns: u64,
-    pub thread: usize,
-    pub fields: Vec<(&'static str, f64)>,
+enum Body {
+    Event(Vec<(&'static str, f64)>),
+    /// `id` is the span's handle, issued in begin order; it started at
+    /// `at_ns - dur_ns`.
+    Span { id: u64, dur_ns: u64 },
 }
 
-#[derive(Default)]
-struct Inner {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, (Histogram, &'static str)>,
-    spans: Vec<SpanRecord>,
-    events: Vec<EventRecord>,
-    /// Thread registry: position = dense thread index used in records.
-    threads: Vec<ThreadId>,
-    /// Per-thread stack of open span indices (keyed by dense thread index).
-    stacks: Vec<Vec<usize>>,
-}
-
-impl Inner {
-    fn thread_index(&mut self, id: ThreadId) -> usize {
-        if let Some(pos) = self.threads.iter().position(|&t| t == id) {
-            pos
-        } else {
-            self.threads.push(id);
-            self.stacks.push(Vec::new());
-            self.threads.len() - 1
+impl Entry {
+    fn to_ring_event(&self) -> RingEvent {
+        RingEvent {
+            seq: self.seq,
+            name: self.name,
+            at_ns: self.at_ns,
+            fields: match &self.body {
+                Body::Event(fields) => fields.clone(),
+                Body::Span { dur_ns, .. } => vec![("dur_ns", *dur_ns as f64)],
+            },
         }
     }
 }
 
-/// Thread-safe in-memory recorder. All signals go through one mutex; this is
-/// deliberate — telemetry is only ever enabled for diagnostic runs, and the
-/// mutex keeps span parenting, ordering, and merges trivially correct.
+#[derive(Default)]
+struct Ring {
+    entries: VecDeque<Entry>,
+    samplers: BTreeMap<&'static str, (u64, u64)>, // name -> (seen, kept)
+    next_seq: u64,
+}
+
+struct OpenSpan {
+    name: &'static str,
+    start_ns: u64,
+    thread: u32,
+}
+
+/// A span as the snapshot builder sees it before parentage is derived.
+struct RawSpan {
+    id: u64,
+    name: &'static str,
+    start_ns: u64,
+    end_ns: u64,
+    thread: usize,
+    /// Close order: ring sequence for closed spans; open spans rank after
+    /// every closed one, innermost (latest begun) first.
+    close: u64,
+}
+
+/// Thread-safe in-memory recorder, for diagnostic captures and for the
+/// always-on process recorder alike. Its capacity sets retention:
 ///
-/// Span durations are automatically folded into a histogram named after the
-/// span (unit `ns`), so every instrumented region gets percentile stats for
-/// free.
+/// * **exact aggregates** — counters, gauges and log-scale histograms are
+///   aggregated exactly (never sampled), so `/metrics` scrapes and
+///   incident files report true totals and true quantiles. Span
+///   durations feed a histogram named after the span (unit `ns`);
+/// * **one ring** — every event and every closed span (its start, an
+///   inline duration and a thread tag) becomes one ring entry. Entries are
+///   admitted through a deterministic per-name stride
+///   `(seen / capacity + 1).next_power_of_two()`, so a chatty name is
+///   thinned 1-in-2, 1-in-4, … once it has offered a ring's worth and
+///   cannot flush rarer events out; the oldest entry is evicted when the
+///   ring is full;
+/// * **capacity** — [`MemoryRecorder::new`] is unbounded: the stride stays
+///   1, nothing is evicted, and the recorder reports [`Detail::Full`].
+///   [`MemoryRecorder::bounded`] keeps constant memory and reports
+///   [`Detail::Sampled`];
+/// * **lock-light** — each signal kind has its own mutex, so a counter
+///   bump never contends with a ring push.
+///
+/// Span parentage is not tracked while recording: [`MemoryRecorder::snapshot`]
+/// derives each span's parent as the innermost enclosing retained span
+/// on the same thread.
 pub struct MemoryRecorder {
     epoch: Instant,
-    inner: Mutex<Inner>,
+    capacity: usize,
+    counters: Mutex<BTreeMap<&'static str, u64>>,
+    gauges: Mutex<BTreeMap<&'static str, f64>>,
+    histograms: Mutex<BTreeMap<&'static str, (Histogram, &'static str)>>,
+    ring: Mutex<Ring>,
+    open_spans: Mutex<BTreeMap<u64, OpenSpan>>,
+    next_span: AtomicU64,
 }
 
 impl Default for MemoryRecorder {
@@ -151,11 +172,35 @@ impl Default for MemoryRecorder {
     }
 }
 
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // A panic while holding a lock can only come from allocation failure;
+    // recovering the data beats poisoning the whole capture.
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 impl MemoryRecorder {
+    /// An unbounded recorder: keeps every event and span, reports
+    /// [`Detail::Full`].
     pub fn new() -> Self {
-        Self {
+        Self::with_capacity(usize::MAX)
+    }
+
+    /// A recorder retaining at most `capacity` ring entries (min 1),
+    /// reporting [`Detail::Sampled`].
+    pub fn bounded(capacity: usize) -> Self {
+        Self::with_capacity(capacity.clamp(1, usize::MAX - 1))
+    }
+
+    fn with_capacity(capacity: usize) -> Self {
+        MemoryRecorder {
             epoch: Instant::now(),
-            inner: Mutex::new(Inner::default()),
+            capacity,
+            counters: Mutex::new(BTreeMap::new()),
+            gauges: Mutex::new(BTreeMap::new()),
+            histograms: Mutex::new(BTreeMap::new()),
+            ring: Mutex::new(Ring::default()),
+            open_spans: Mutex::new(BTreeMap::new()),
+            next_span: AtomicU64::new(1),
         }
     }
 
@@ -163,63 +208,172 @@ impl MemoryRecorder {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A panic while holding this mutex can only come from allocation
-        // failure; recovering the data beats poisoning the whole capture.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    /// Deterministic decimation stride for a name offered `seen` times
+    /// already: every name keeps its first `capacity` occurrences, then
+    /// the stride doubles each time its volume crosses another multiple
+    /// of the capacity. Always 1 when unbounded.
+    fn stride(&self, seen: u64) -> u64 {
+        (seen / self.capacity as u64 + 1).next_power_of_two()
     }
 
-    /// Copy the current state into an immutable [`Snapshot`](crate::export::Snapshot).
-    /// Spans still open at snapshot time are reported with the snapshot
-    /// instant as their end.
-    pub fn snapshot(&self, suite: &str) -> crate::export::Snapshot {
-        use crate::export::{HistogramSummary, Snapshot, SpanSummary};
-        let now = self.now_ns();
-        let inner = self.lock();
+    /// Offer one entry to the ring, applying decimation then eviction.
+    fn offer(&self, name: &'static str, at_ns: u64, thread: u32, body: Body) {
+        let mut guard = lock(&self.ring);
+        let ring = &mut *guard;
+        let entry = ring.samplers.entry(name).or_insert((0, 0));
+        let seen = entry.0;
+        entry.0 += 1;
+        if !seen.is_multiple_of(self.stride(seen)) {
+            return;
+        }
+        entry.1 += 1;
+        let seq = ring.next_seq;
+        ring.next_seq += 1;
+        if ring.entries.len() == self.capacity {
+            ring.entries.pop_front();
+        }
+        ring.entries.push_back(Entry {
+            seq,
+            name,
+            at_ns,
+            thread,
+            body,
+        });
+    }
+
+    /// The retained ring, oldest first. A closed span appears as an entry
+    /// named after it with one field, `dur_ns`.
+    pub fn ring_events(&self) -> Vec<RingEvent> {
+        self.newest_ring_events(usize::MAX)
+    }
+
+    /// The newest `limit` ring entries, oldest first.
+    pub(crate) fn newest_ring_events(&self, limit: usize) -> Vec<RingEvent> {
+        let ring = lock(&self.ring);
+        let skip = ring.entries.len().saturating_sub(limit);
+        ring.entries.iter().skip(skip).map(Entry::to_ring_event).collect()
+    }
+
+    /// Per-name decimation statistics, sorted by name.
+    pub fn sampler_stats(&self) -> Vec<(&'static str, SamplerStat)> {
+        lock(&self.ring)
+            .samplers
+            .iter()
+            .map(|(&name, &(seen, kept))| {
+                let stride = self.stride(seen);
+                (name, SamplerStat { seen, kept, stride })
+            })
+            .collect()
+    }
+
+    /// Copy the current state into an immutable [`Snapshot`]: exact
+    /// aggregates, every retained event and span, and the spans still open
+    /// at snapshot time, which end at the snapshot instant.
+    pub fn snapshot(&self, suite: &str) -> Snapshot {
+        self.snapshot_newest(suite, usize::MAX)
+    }
+
+    /// [`MemoryRecorder::snapshot`] over only the newest `limit` ring
+    /// entries (open spans are always included).
+    pub(crate) fn snapshot_newest(&self, suite: &str, limit: usize) -> Snapshot {
+        let counters = lock(&self.counters)
+            .iter()
+            .map(|(&k, &v)| (k.to_string(), v))
+            .collect();
+        let gauges = lock(&self.gauges)
+            .iter()
+            .map(|(&k, &v)| (k.to_string(), v))
+            .collect();
+        let histograms = lock(&self.histograms)
+            .iter()
+            .map(|(&name, (h, unit))| HistogramSummary {
+                name: name.to_string(),
+                unit: unit.to_string(),
+                count: h.count(),
+                min: h.min(),
+                max: h.max(),
+                mean: h.mean(),
+                p50: h.quantile(0.50),
+                p95: h.quantile(0.95),
+                p99: h.quantile(0.99),
+            })
+            .collect();
+
+        // A closing span leaves the open map and enters the ring under the
+        // open-span lock, so holding it here sees each span exactly once.
+        let mut raw = Vec::new();
+        let mut events = Vec::new();
+        {
+            let open = lock(&self.open_spans);
+            let now = self.now_ns();
+            raw.extend(open.iter().map(|(&id, s)| RawSpan {
+                id,
+                name: s.name,
+                start_ns: s.start_ns,
+                end_ns: now,
+                thread: s.thread as usize,
+                close: u64::MAX - id,
+            }));
+            let ring = lock(&self.ring);
+            let skip = ring.entries.len().saturating_sub(limit);
+            for e in ring.entries.iter().skip(skip) {
+                match &e.body {
+                    Body::Event(fields) => events.push(EventSummary {
+                        name: e.name.to_string(),
+                        at_ns: e.at_ns,
+                        thread: e.thread as usize,
+                        fields: fields.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+                    }),
+                    Body::Span { id, dur_ns } => raw.push(RawSpan {
+                        id: *id,
+                        name: e.name,
+                        start_ns: e.at_ns - dur_ns,
+                        end_ns: e.at_ns,
+                        thread: e.thread as usize,
+                        close: e.seq,
+                    }),
+                }
+            }
+        }
+
+        // Dense thread indices, in the order threads first recorded
+        // anything in this process.
+        let mut tags: Vec<usize> = raw.iter().map(|s| s.thread).collect();
+        tags.extend(events.iter().map(|e| e.thread));
+        tags.sort_unstable();
+        tags.dedup();
+        let dense = |tag: usize| tags.binary_search(&tag).unwrap_or_default();
+        for e in &mut events {
+            e.thread = dense(e.thread);
+        }
+
+        // Begin order, then a per-thread stack walk: a span's parent is the
+        // latest-begun span on its thread that closes after it does.
+        raw.sort_unstable_by_key(|s| s.id);
+        let mut stacks: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut spans = Vec::with_capacity(raw.len());
+        for (i, s) in raw.iter().enumerate() {
+            let stack = stacks.entry(s.thread).or_default();
+            while stack.last().is_some_and(|&top| raw[top].close < s.close) {
+                stack.pop();
+            }
+            spans.push(SpanSummary {
+                name: s.name.to_string(),
+                start_ns: s.start_ns,
+                end_ns: s.end_ns,
+                parent: stack.last().copied(),
+                thread: dense(s.thread),
+            });
+            stack.push(i);
+        }
+
         Snapshot {
             suite: suite.to_string(),
-            counters: inner.counters.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
-            gauges: inner.gauges.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(&name, (h, unit))| HistogramSummary {
-                    name: name.to_string(),
-                    unit: unit.to_string(),
-                    count: h.count(),
-                    min: h.min(),
-                    max: h.max(),
-                    mean: h.mean(),
-                    p50: h.quantile(0.50),
-                    p95: h.quantile(0.95),
-                    p99: h.quantile(0.99),
-                })
-                .collect(),
-            spans: inner
-                .spans
-                .iter()
-                .map(|s| SpanSummary {
-                    name: s.name.to_string(),
-                    start_ns: s.start_ns,
-                    end_ns: s.end_ns.unwrap_or(now),
-                    parent: s.parent,
-                    thread: s.thread,
-                })
-                .collect(),
-            events: inner
-                .events
-                .iter()
-                .map(|e| crate::export::EventSummary {
-                    name: e.name.to_string(),
-                    at_ns: e.at_ns,
-                    thread: e.thread,
-                    fields: e
-                        .fields
-                        .iter()
-                        .map(|&(k, v)| (k.to_string(), v))
-                        .collect(),
-                })
-                .collect(),
+            counters,
+            gauges,
+            histograms,
+            spans,
+            events,
         }
     }
 }
@@ -227,19 +381,10 @@ impl MemoryRecorder {
 impl Recorder for MemoryRecorder {
     fn span_begin(&self, name: &'static str) -> SpanId {
         let start_ns = self.now_ns();
-        let mut inner = self.lock();
-        let thread = inner.thread_index(std::thread::current().id());
-        let parent = inner.stacks[thread].last().copied();
-        let index = inner.spans.len();
-        inner.spans.push(SpanRecord {
-            name,
-            start_ns,
-            end_ns: None,
-            parent,
-            thread,
-        });
-        inner.stacks[thread].push(index);
-        SpanId(index as u64 + 1)
+        let id = self.next_span.fetch_add(1, Ordering::Relaxed);
+        let thread = thread_tag();
+        lock(&self.open_spans).insert(id, OpenSpan { name, start_ns, thread });
+        SpanId(id)
     }
 
     fn span_end(&self, id: SpanId) {
@@ -247,43 +392,33 @@ impl Recorder for MemoryRecorder {
             return;
         }
         let end_ns = self.now_ns();
-        let index = (id.0 - 1) as usize;
-        let mut inner = self.lock();
-        if index >= inner.spans.len() || inner.spans[index].end_ns.is_some() {
-            return;
-        }
-        inner.spans[index].end_ns = Some(end_ns);
-        let (name, start_ns, thread) = {
-            let s = &inner.spans[index];
-            (s.name, s.start_ns, s.thread)
+        let (name, dur_ns) = {
+            let mut open = lock(&self.open_spans);
+            let Some(span) = open.remove(&id.0) else {
+                return;
+            };
+            let dur_ns = end_ns.saturating_sub(span.start_ns);
+            let body = Body::Span { id: id.0, dur_ns };
+            self.offer(span.name, span.start_ns + dur_ns, span.thread, body);
+            (span.name, dur_ns)
         };
-        // Remove from the open stack; tolerate out-of-order closes.
-        if let Some(pos) = inner.stacks[thread].iter().rposition(|&i| i == index) {
-            inner.stacks[thread].remove(pos);
-        }
-        let duration = end_ns.saturating_sub(start_ns) as f64;
-        inner
-            .histograms
+        lock(&self.histograms)
             .entry(name)
             .or_insert_with(|| (Histogram::new(), "ns"))
             .0
-            .record(duration);
+            .record(dur_ns as f64);
     }
 
     fn counter_add(&self, name: &'static str, delta: u64) {
-        let mut inner = self.lock();
-        *inner.counters.entry(name).or_insert(0) += delta;
+        *lock(&self.counters).entry(name).or_insert(0) += delta;
     }
 
     fn gauge_set(&self, name: &'static str, value: f64) {
-        let mut inner = self.lock();
-        inner.gauges.insert(name, value);
+        lock(&self.gauges).insert(name, value);
     }
 
     fn histogram_record(&self, name: &'static str, value: f64, unit: &'static str) {
-        let mut inner = self.lock();
-        inner
-            .histograms
+        lock(&self.histograms)
             .entry(name)
             .or_insert_with(|| (Histogram::new(), unit))
             .0
@@ -292,97 +427,14 @@ impl Recorder for MemoryRecorder {
 
     fn event(&self, name: &'static str, fields: &[(&'static str, f64)]) {
         let at_ns = self.now_ns();
-        let mut inner = self.lock();
-        let thread = inner.thread_index(std::thread::current().id());
-        inner.events.push(EventRecord {
-            name,
-            at_ns,
-            thread,
-            fields: fields.to_vec(),
-        });
-    }
-}
-
-/// Forwards every signal to each of a set of child recorders. Used when a
-/// full diagnostic capture (`VOLTSENSE_TELEMETRY`) and the always-on
-/// flight recorder must both observe the same run.
-///
-/// Span handles are translated: `span_begin` opens a span on every child
-/// and hands back one id mapping to the per-child ids.
-pub struct FanoutRecorder {
-    children: Vec<std::sync::Arc<dyn Recorder>>,
-    open: Mutex<BTreeMap<u64, Vec<SpanId>>>,
-    next: std::sync::atomic::AtomicU64,
-}
-
-impl FanoutRecorder {
-    pub fn new(children: Vec<std::sync::Arc<dyn Recorder>>) -> Self {
-        FanoutRecorder {
-            children,
-            open: Mutex::new(BTreeMap::new()),
-            next: std::sync::atomic::AtomicU64::new(1),
-        }
-    }
-}
-
-impl Recorder for FanoutRecorder {
-    fn span_begin(&self, name: &'static str) -> SpanId {
-        let ids: Vec<SpanId> = self.children.iter().map(|c| c.span_begin(name)).collect();
-        let id = self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.open
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(id, ids);
-        SpanId(id)
+        self.offer(name, at_ns, thread_tag(), Body::Event(fields.to_vec()));
     }
 
-    fn span_end(&self, id: SpanId) {
-        if id == SpanId::NONE {
-            return;
-        }
-        let ids = self
-            .open
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&id.0);
-        if let Some(ids) = ids {
-            for (child, child_id) in self.children.iter().zip(ids) {
-                child.span_end(child_id);
-            }
-        }
-    }
-
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        for c in &self.children {
-            c.counter_add(name, delta);
-        }
-    }
-
-    fn gauge_set(&self, name: &'static str, value: f64) {
-        for c in &self.children {
-            c.gauge_set(name, value);
-        }
-    }
-
-    fn histogram_record(&self, name: &'static str, value: f64, unit: &'static str) {
-        for c in &self.children {
-            c.histogram_record(name, value, unit);
-        }
-    }
-
-    fn event(&self, name: &'static str, fields: &[(&'static str, f64)]) {
-        for c in &self.children {
-            c.event(name, fields);
-        }
-    }
-
-    /// The most demanding child wins: one full-detail child makes the
-    /// whole fanout full-detail.
     fn detail(&self) -> Detail {
-        self.children
-            .iter()
-            .map(|c| c.detail())
-            .max()
-            .unwrap_or(Detail::Sampled)
+        if self.capacity == usize::MAX {
+            Detail::Full
+        } else {
+            Detail::Sampled
+        }
     }
 }

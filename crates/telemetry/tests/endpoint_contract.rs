@@ -17,7 +17,7 @@ use std::time::Duration;
 use voltsense_telemetry::incident::{self, Incident};
 use voltsense_telemetry::json::{self, Value};
 use voltsense_telemetry::serve::{serve, SnapshotSource};
-use voltsense_telemetry::{profile, FlightRecorder, Recorder};
+use voltsense_telemetry::{profile, MemoryRecorder, Recorder};
 
 /// One plain HTTP/1.1 GET; returns (status code, body).
 fn get(addr: SocketAddr, path: &str) -> (u32, String) {
@@ -137,7 +137,7 @@ fn profile_route_serves_a_consistent_profile() {
     // profiler stays installed for the route.
     drop(sampler);
 
-    let source: SnapshotSource = Arc::new(|| FlightRecorder::new(1).snapshot("profile_contract"));
+    let source: SnapshotSource = Arc::new(|| MemoryRecorder::bounded(1).snapshot("profile_contract"));
     let server = serve("127.0.0.1:0", source).expect("bind");
     let (status, body) = get(server.addr(), "/profile");
     assert_eq!(status, 200, "{body}");
@@ -242,7 +242,7 @@ fn check_incident_file(path: &Path) -> String {
 
 #[test]
 fn incident_files_follow_the_v1_schema() {
-    let rec = FlightRecorder::new(64);
+    let rec = MemoryRecorder::bounded(64);
     rec.event("monitor.observe", &[("sample", 0.0)]);
     rec.event("monitor.alarm", &[("sample", 1.0), ("predicted_min", 0.78)]);
     rec.counter_add("monitor.alarm_events", 1);

@@ -1,13 +1,11 @@
-//! Property suite pinning the flight recorder's ring-buffer semantics:
-//! bounded capacity, oldest-first eviction, deterministic decimation
-//! bookkeeping, and aggregate exactness against the unsampled
-//! `MemoryRecorder`.
+//! Property suite pinning the recorder's ring-buffer semantics: bounded
+//! capacity, oldest-first eviction, deterministic decimation bookkeeping,
+//! aggregate exactness of a bounded recorder against an unbounded one,
+//! and span parentage derived from nesting per thread.
 
 use std::sync::Arc;
 
-use voltsense_telemetry::{
-    flight, incident, Detail, FlightRecorder, MemoryRecorder, Recorder,
-};
+use voltsense_telemetry::{flight, incident, Detail, MemoryRecorder, Recorder};
 use voltsense_testkit::{forall, u64_range, usize_range, vec_f64};
 
 /// Names used to interleave event streams; `&'static str` as the API requires.
@@ -19,7 +17,7 @@ fn ring_never_exceeds_capacity_and_evicts_oldest_first() {
         capacity in usize_range(1, 48),
         pushes in usize_range(0, 400),
     ) => {
-        let rec = FlightRecorder::new(capacity);
+        let rec = MemoryRecorder::bounded(capacity);
         for i in 0..pushes {
             rec.event(NAMES[i % NAMES.len()], &[("i", i as f64)]);
         }
@@ -48,7 +46,7 @@ fn decimation_is_deterministic_and_only_thins_high_rate_names() {
         capacity in usize_range(1, 64),
         n in usize_range(0, 600),
     ) => {
-        let rec = FlightRecorder::new(capacity);
+        let rec = MemoryRecorder::bounded(capacity);
         for i in 0..n {
             rec.event("hot.loop", &[("i", i as f64)]);
         }
@@ -65,7 +63,7 @@ fn decimation_is_deterministic_and_only_thins_high_rate_names() {
             }
             // Replaying the same load admits exactly the same events
             // (timestamps aside — those are wall-clock).
-            let rec2 = FlightRecorder::new(capacity);
+            let rec2 = MemoryRecorder::bounded(capacity);
             for i in 0..n {
                 rec2.event("hot.loop", &[("i", i as f64)]);
             }
@@ -86,8 +84,8 @@ fn aggregates_match_the_unsampled_memory_recorder_exactly() {
         capacity in usize_range(1, 8),
     ) => {
         // A tiny ring so events are heavily decimated — aggregates must
-        // still be exact because they are never sampled.
-        let fr = FlightRecorder::new(capacity);
+        // still match the unbounded recorder because they are never sampled.
+        let fr = MemoryRecorder::bounded(capacity);
         let mr = MemoryRecorder::new();
         for v in &values {
             fr.histogram_record("h", *v, "V");
@@ -118,9 +116,147 @@ fn aggregates_match_the_unsampled_memory_recorder_exactly() {
     });
 }
 
+/// Span names by program thread and nesting depth, so a snapshot span
+/// names the program thread that opened it.
+const SPAN_NAMES: [[&str; 5]; 4] = [
+    ["t0.d0", "t0.d1", "t0.d2", "t0.d3", "t0.d4"],
+    ["t1.d0", "t1.d1", "t1.d2", "t1.d3", "t1.d4"],
+    ["t2.d0", "t2.d1", "t2.d2", "t2.d3", "t2.d4"],
+    ["t3.d0", "t3.d1", "t3.d2", "t3.d3", "t3.d4"],
+];
+
+/// A random nested span program of depth at most 5: `true` opens a span,
+/// `false` closes the innermost open one.
+fn span_program(seed: u64, len: usize) -> Vec<bool> {
+    let mut state = seed;
+    let mut depth = 0;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let open = depth == 0 || (depth < 5 && (state >> 33).is_multiple_of(2));
+            if open {
+                depth += 1;
+            } else {
+                depth -= 1;
+            }
+            open
+        })
+        .collect()
+}
+
+/// Runs `program` as program thread `t` through the free functions. Returns
+/// the spans still open, innermost last, and the per-thread-stack oracle:
+/// each span's name and its parent's index among this thread's spans.
+#[allow(clippy::type_complexity)]
+fn run_span_program(
+    t: usize,
+    program: &[bool],
+) -> (Vec<voltsense_telemetry::Span>, Vec<(&'static str, Option<usize>)>) {
+    let mut open: Vec<(voltsense_telemetry::Span, usize)> = Vec::new();
+    let mut oracle = Vec::new();
+    for &op in program {
+        if op {
+            let name = SPAN_NAMES[t][open.len()];
+            oracle.push((name, open.last().map(|&(_, i)| i)));
+            open.push((voltsense_telemetry::span(name), oracle.len() - 1));
+        } else {
+            open.pop();
+        }
+    }
+    (open.into_iter().map(|(span, _)| span).collect(), oracle)
+}
+
+fn close_innermost_first(mut open: Vec<voltsense_telemetry::Span>) {
+    while open.pop().is_some() {}
+}
+
+/// Random nested programs on 1–4 threads; the snapshot's `parent` and
+/// `thread` must equal the per-thread-stack oracle. Program thread 0 runs
+/// on the calling thread and keeps its unclosed spans open across the
+/// snapshot, so spans open at snapshot time are checked too.
+fn parentage_matches_the_stack_oracle(make: fn() -> MemoryRecorder) {
+    forall!(cases = 48, (
+        threads in usize_range(1, 5),
+        len in usize_range(0, 40),
+        seed in u64_range(0, 1 << 32),
+    ) => {
+        let rec = Arc::new(make());
+        let programs: Vec<Vec<bool>> = (0..threads)
+            .map(|t| span_program(seed.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(t as u64)), len))
+            .collect();
+        let mut oracles: Vec<Vec<(&'static str, Option<usize>)>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..threads)
+                .map(|t| {
+                    let (rec, program) = (rec.clone(), &programs[t]);
+                    scope.spawn(move || {
+                        voltsense_telemetry::with_scoped(rec, || {
+                            let (open, oracle) = run_span_program(t, program);
+                            close_innermost_first(open);
+                            oracle
+                        })
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let snap = voltsense_telemetry::with_scoped(rec.clone(), || {
+            let (open, oracle) = run_span_program(0, &programs[0]);
+            oracles.insert(0, oracle);
+            let snap = rec.snapshot("parentage");
+            close_innermost_first(open);
+            snap
+        });
+
+        let total: usize = oracles.iter().map(Vec::len).sum();
+        assert_eq!(snap.spans.len(), total, "every span is retained");
+        // Group the snapshot by its dense thread index; each group must be
+        // one program thread's spans, in begin order.
+        let mut seen_threads = Vec::new();
+        for thread in 0..threads {
+            let group: Vec<usize> =
+                (0..snap.spans.len()).filter(|&i| snap.spans[i].thread == thread).collect();
+            if group.is_empty() {
+                continue;
+            }
+            let t = (0..threads)
+                .find(|&t| SPAN_NAMES[t].contains(&snap.spans[group[0]].name.as_str()))
+                .expect("span name from a program thread");
+            seen_threads.push(t);
+            let got: Vec<(&str, Option<usize>)> = group
+                .iter()
+                .map(|&i| {
+                    let span = &snap.spans[i];
+                    let parent = span.parent.map(|p| {
+                        assert_eq!(snap.spans[p].thread, thread, "cross-thread parent");
+                        group.iter().position(|&g| g == p).expect("parent in the same thread")
+                    });
+                    (span.name.as_str(), parent)
+                })
+                .collect();
+            assert_eq!(got, oracles[t], "program thread {t}");
+        }
+        seen_threads.sort_unstable();
+        let expected: Vec<usize> = (0..threads).filter(|&t| !oracles[t].is_empty()).collect();
+        assert_eq!(seen_threads, expected, "one dense thread index per thread with spans");
+    });
+}
+
+#[test]
+fn unbounded_span_parentage_matches_a_per_thread_stack_oracle() {
+    parentage_matches_the_stack_oracle(MemoryRecorder::new);
+}
+
+#[test]
+fn bounded_span_parentage_matches_a_per_thread_stack_oracle() {
+    // Four threads of at most 40 spans each: nothing is decimated or evicted.
+    parentage_matches_the_stack_oracle(|| MemoryRecorder::bounded(1024));
+}
+
 #[test]
 fn span_durations_feed_exact_histograms_without_parent_tracking() {
-    let rec = FlightRecorder::new(4);
+    let rec = MemoryRecorder::bounded(4);
     for _ in 0..10 {
         let id = rec.span_begin("work");
         rec.span_end(id);
@@ -128,7 +264,7 @@ fn span_durations_feed_exact_histograms_without_parent_tracking() {
     let snap = rec.snapshot("spans");
     let h = snap.histogram("work").expect("span duration histogram");
     assert_eq!(h.count, 10, "every span close lands in the histogram");
-    assert!(snap.spans.is_empty(), "flight recorder keeps no span records");
+    assert!(snap.spans.len() <= 4, "a bounded recorder keeps at most a ring of spans");
     // Closing an unknown or NONE id is a no-op, not a panic.
     rec.span_end(voltsense_telemetry::SpanId::NONE);
     rec.span_end(voltsense_telemetry::SpanId(9999));
@@ -136,7 +272,7 @@ fn span_durations_feed_exact_histograms_without_parent_tracking() {
 
 #[test]
 fn flight_recorder_reports_sampled_detail() {
-    let rec = Arc::new(FlightRecorder::new(16));
+    let rec = Arc::new(MemoryRecorder::bounded(16));
     assert_eq!(rec.detail(), Detail::Sampled);
     voltsense_telemetry::with_scoped(rec.clone(), || {
         assert!(voltsense_telemetry::enabled());
@@ -159,7 +295,7 @@ fn incident_write_freezes_ring_and_metrics() {
         failed in usize_range(0, 5),
         seed in u64_range(0, 1 << 20),
     ) => {
-        let rec = Arc::new(FlightRecorder::new(capacity));
+        let rec = Arc::new(MemoryRecorder::bounded(capacity));
         for i in 0..n {
             rec.event("monitor.observe", &[("sample", i as f64)]);
             rec.counter_add("monitor.alarm_events", 1);
@@ -217,7 +353,7 @@ fn report_is_a_noop_without_a_registered_flight_recorder_and_capped_with_one() {
     assert!(incident::report(&incident::Incident::new("cap_test")).is_none());
     assert!(!dir.exists(), "a declined report must not create the incident dir");
 
-    flight::install(Arc::new(FlightRecorder::new(8)));
+    flight::install(Arc::new(MemoryRecorder::bounded(8)));
     let incident = incident::Incident::new("cap_test");
     let mut written = 0;
     for _ in 0..10 {

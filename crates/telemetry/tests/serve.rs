@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use voltsense_telemetry::json::{self, Value};
 use voltsense_telemetry::serve::{serve, SnapshotSource};
-use voltsense_telemetry::{FlightRecorder, Recorder};
+use voltsense_telemetry::{MemoryRecorder, Recorder};
 
 /// One HTTP request against the server; returns (status line, headers, body).
 fn request(addr: std::net::SocketAddr, head: &str) -> (String, String, String) {
@@ -28,7 +28,7 @@ fn get(addr: std::net::SocketAddr, path: &str) -> (String, String, String) {
 
 #[test]
 fn endpoint_serves_metrics_snapshot_and_healthz() {
-    let rec = Arc::new(FlightRecorder::new(64));
+    let rec = Arc::new(MemoryRecorder::bounded(64));
     rec.counter_add("scrapes.seen", 2);
     rec.gauge_set("monitor.alarm_active", 0.0);
     rec.histogram_record("observe", 4.2, "us");
@@ -103,7 +103,7 @@ fn trace_and_slo_routes_serve_empty_documents_when_uninstalled() {
     // No TraceBuffer / SloTracker is installed in this test binary, so
     // both routes must answer valid, schema-tagged empty documents
     // rather than 404 — a scraper can always rely on the shape.
-    let source: SnapshotSource = Arc::new(|| FlightRecorder::new(1).snapshot("routes"));
+    let source: SnapshotSource = Arc::new(|| MemoryRecorder::bounded(1).snapshot("routes"));
     let server = serve("127.0.0.1:0", source).expect("bind");
     let addr = server.addr();
 
@@ -139,7 +139,7 @@ fn stalled_head_gets_408_instead_of_wedging_the_loop() {
     // Per-connection deadline is read per request, so a short budget here
     // only affects connections opened while this test runs.
     std::env::set_var("VOLTSENSE_TELEMETRY_READ_DEADLINE_MS", "400");
-    let source: SnapshotSource = Arc::new(|| FlightRecorder::new(1).snapshot("loris"));
+    let source: SnapshotSource = Arc::new(|| MemoryRecorder::bounded(1).snapshot("loris"));
     let server = serve("127.0.0.1:0", source).expect("bind");
     let addr = server.addr();
 
@@ -160,7 +160,7 @@ fn stalled_head_gets_408_instead_of_wedging_the_loop() {
 
 #[test]
 fn oversized_head_gets_413_not_processed() {
-    let source: SnapshotSource = Arc::new(|| FlightRecorder::new(1).snapshot("oversize"));
+    let source: SnapshotSource = Arc::new(|| MemoryRecorder::bounded(1).snapshot("oversize"));
     let server = serve("127.0.0.1:0", source).expect("bind");
     let addr = server.addr();
 
@@ -180,7 +180,7 @@ fn oversized_head_gets_413_not_processed() {
 
 #[test]
 fn bare_port_binds_loopback() {
-    let source: SnapshotSource = Arc::new(|| FlightRecorder::new(1).snapshot("loopback"));
+    let source: SnapshotSource = Arc::new(|| MemoryRecorder::bounded(1).snapshot("loopback"));
     // Bare "0": loopback by default — the documented security posture.
     let server = serve("0", source).expect("bind");
     assert!(server.addr().ip().is_loopback());
@@ -188,7 +188,7 @@ fn bare_port_binds_loopback() {
 
 #[test]
 fn root_serves_endpoint_index() {
-    let source: SnapshotSource = Arc::new(|| FlightRecorder::new(1).snapshot("index"));
+    let source: SnapshotSource = Arc::new(|| MemoryRecorder::bounded(1).snapshot("index"));
     let server = serve("127.0.0.1:0", source).expect("bind");
     let addr = server.addr();
 
@@ -219,7 +219,7 @@ fn root_serves_endpoint_index() {
 fn profile_route_serves_json_and_collapsed() {
     use voltsense_telemetry::profile::{self, Profiler};
 
-    let source: SnapshotSource = Arc::new(|| FlightRecorder::new(1).snapshot("profile"));
+    let source: SnapshotSource = Arc::new(|| MemoryRecorder::bounded(1).snapshot("profile"));
     let server = serve("127.0.0.1:0", source).expect("bind");
     let addr = server.addr();
 

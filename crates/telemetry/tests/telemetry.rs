@@ -1,12 +1,10 @@
 //! Tests for the telemetry crate itself: histogram percentile math and
-//! merging, span nesting/ordering under threads, no-op recorder identity,
-//! and round-tripping the exporters through the in-tree JSON parser.
+//! merging, span nesting/ordering under threads, the no-recorder no-op
+//! path, and round-tripping the exporters through the in-tree JSON parser.
 
 use std::sync::Arc;
 
-use voltsense_telemetry::{
-    self as telemetry, json, Histogram, MemoryRecorder, NoopRecorder, Recorder, SpanId,
-};
+use voltsense_telemetry::{self as telemetry, json, Histogram, MemoryRecorder, Recorder};
 
 /// Half a log-bucket: the worst-case relative error of a percentile query.
 const HIST_REL_TOL: f64 = 0.05;
@@ -102,14 +100,6 @@ fn histogram_handles_nonpositive_values() {
 
 #[test]
 fn noop_recorder_identity() {
-    let noop = NoopRecorder;
-    let id = noop.span_begin("anything");
-    assert_eq!(id, SpanId::NONE);
-    noop.span_end(id);
-    noop.counter_add("c", 3);
-    noop.gauge_set("g", 1.0);
-    noop.histogram_record("h", 2.0, "ns");
-    noop.event("e", &[("f", 1.0)]);
     // With no recorder active, the free functions are no-ops and
     // enabled() reports false on this thread.
     assert!(!telemetry::enabled());
@@ -220,7 +210,6 @@ fn scoped_recorder_shadows_and_pops_on_panic() {
 #[test]
 fn json_snapshot_roundtrips_through_parser() {
     let rec = MemoryRecorder::new();
-    telemetry::with_scoped(Arc::new(NoopRecorder), || {});
     rec.counter_add("cg.solves", 7);
     rec.gauge_set("monitor.failed_sensors", 2.0);
     rec.histogram_record("cg.iterations", 12.0, "iters");

@@ -193,30 +193,8 @@ impl PerCoreModel {
         q_per_core: usize,
         config: &MethodologyConfig,
     ) -> Result<Self, ScenarioError> {
-        let mut fits = Vec::with_capacity(partition.num_cores());
-        for c in 0..partition.num_cores() {
-            let core = CoreId(c);
-            let candidate_rows = partition.candidates_of(core).to_vec();
-            let block_rows = partition.blocks_of(core).to_vec();
-            let sub = data.restrict(&candidate_rows, &block_rows);
-            let fitted = Methodology::fit_with_sensor_count(&sub.x, &sub.f, q_per_core, config)
-                .map_err(|e| ScenarioError::Inconsistent {
-                    what: format!("fit failed for core {c}: {e}"),
-                })?;
-            fits.push(PerCoreFit {
-                core,
-                fitted,
-                candidate_rows,
-                block_rows,
-            });
-        }
-        let global_model = Self::global_refit(data, &fits)?;
-        Ok(PerCoreModel {
-            fits,
-            global_model,
-            num_candidates: data.num_candidates(),
-            emergency_threshold: config.emergency_threshold,
-        })
+        let mut models = Self::fit_with_sensor_count_sweep(data, partition, &[q_per_core], config)?;
+        Ok(models.remove(0))
     }
 
     /// Fits one model per budget in `lambdas` (the paper's Table 1 sweep)

@@ -23,7 +23,7 @@ use voltsense::core::{Methodology, MethodologyConfig};
 use voltsense::linalg::Matrix;
 use voltsense::telemetry::json::{self, Value};
 use voltsense::telemetry::serve::{serve, SnapshotSource};
-use voltsense::telemetry::{self, flight, profile, FlightRecorder, Recorder};
+use voltsense::telemetry::{self, flight, profile, MemoryRecorder, Recorder};
 use voltsense::workload::GaussianRng;
 
 /// Samples needed below `methodology.*` before the tally is trusted.
@@ -91,7 +91,7 @@ fn tally_under(collapsed: &str, parent: &str) -> Vec<(String, u64)> {
 fn hottest_frame_under_the_methodology_is_a_group_lasso_solver() {
     let (x, f) = latent_mixture(0x9F0F, 4, 48, 24, 300);
     let config = MethodologyConfig::default();
-    let source: SnapshotSource = Arc::new(|| FlightRecorder::new(1).snapshot("profile_attribution"));
+    let source: SnapshotSource = Arc::new(|| MemoryRecorder::bounded(1).snapshot("profile_attribution"));
     let server = serve("127.0.0.1:0", source).expect("bind");
 
     // Well above the production 99 Hz so a short fit yields enough samples.
@@ -125,7 +125,7 @@ fn stuck_sensor_and_alarms_leave_attributed_incidents() {
     let dir = std::env::temp_dir().join(format!("voltsense_monitor_incidents_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::env::set_var("VOLTSENSE_INCIDENT_DIR", &dir);
-    let recorder = Arc::new(FlightRecorder::new(256));
+    let recorder = Arc::new(MemoryRecorder::bounded(256));
     flight::install(recorder.clone());
 
     let (x, f) = latent_mixture(0x1C1D, 2, 6, 8, 400);
