@@ -44,6 +44,10 @@ VOLTSENSE_THREADS=1 cargo test -q --offline
 echo "==> cargo test -q --offline (all targets + doctests, VOLTSENSE_THREADS=4)"
 VOLTSENSE_THREADS=4 cargo test -q --offline
 
+echo "==> paper-scale digest (release; X, F and node ids bit-identical to the recorded run)"
+# An #[ignore] test: minutes in debug, seconds in release.
+cargo test --release -q --offline -p voltsense --test digests -- --ignored
+
 echo "==> voltbench tests (the benchmark's own package, lockfile unchanged)"
 # voltbench is a package outside the workspace that calls the public API;
 # testing it here turns an API break into a CI failure. --locked fails

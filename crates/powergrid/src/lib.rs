@@ -13,8 +13,9 @@
 //!   spread uniformly over the lattice nodes inside each block.
 //!
 //! Backward-Euler integration keeps the system matrix constant, so the
-//! [`TransientSimulator`] factors it once (sparse envelope Cholesky after
-//! RCM) and performs one triangular solve per timestep.
+//! [`GridModel`] factors it once (sparse envelope Cholesky after RCM) and
+//! shares the factor with every [`TransientSimulator`] of that timestep,
+//! each of which performs one triangular solve per timestep.
 //!
 //! [`sample_benchmark`] runs a benchmark end to end and collects the
 //! full-chip voltage maps the methodology trains on.

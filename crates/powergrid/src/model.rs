@@ -1,7 +1,11 @@
+use std::sync::{Arc, Mutex};
+
 use voltsense_floorplan::{ChipFloorplan, NodeSite};
 use voltsense_sparse::{CsrMatrix, EnvelopeCholesky, TripletMatrix};
 
-use crate::{GridConfig, PowerGridError};
+use voltsense_telemetry as telemetry;
+
+use crate::{GridConfig, Integration, PowerGridError};
 
 /// A pad branch: lattice node index plus the series R (Ω) and L (H) to the
 /// ideal supply.
@@ -12,13 +16,27 @@ pub(crate) struct Pad {
     pub inductance: f64,
 }
 
+/// Which system matrix a cached factor belongs to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum FactorKey {
+    /// The DC system `G_mesh + Σ 1/R_pad`.
+    Dc,
+    /// The transient system of a timestep (seconds) and scheme.
+    Transient { dt_s: f64, method: Integration },
+}
+
 /// The assembled electrical model of the chip's power grid.
 ///
 /// Holds the mesh conductance matrix (without pads), the per-node
 /// capacitance, the pad branches and the block→node load distribution.
 /// [`crate::TransientSimulator`] consumes it for time-domain analysis;
 /// [`GridModel::dc_solve`] provides the operating point.
-#[derive(Debug, Clone)]
+///
+/// The grid is fixed, so each system matrix is factored once per model:
+/// the first DC solve or simulator of a given timestep and scheme builds
+/// the factor, and every later one (and every clone of the model) shares
+/// it. Building the model factors nothing.
+#[derive(Debug)]
 pub struct GridModel {
     config: GridConfig,
     num_nodes: usize,
@@ -32,6 +50,23 @@ pub struct GridModel {
     /// For each block: the lattice nodes carrying its current and the share
     /// (1/count) each receives.
     block_nodes: Vec<Vec<usize>>,
+    /// Factors built so far, one per system matrix.
+    factors: Mutex<Vec<(FactorKey, Arc<EnvelopeCholesky>)>>,
+}
+
+impl Clone for GridModel {
+    fn clone(&self) -> Self {
+        GridModel {
+            config: self.config.clone(),
+            num_nodes: self.num_nodes,
+            num_blocks: self.num_blocks,
+            mesh: self.mesh.clone(),
+            caps: self.caps.clone(),
+            pads: self.pads.clone(),
+            block_nodes: self.block_nodes.clone(),
+            factors: Mutex::new(self.lock_factors().clone()),
+        }
+    }
 }
 
 impl GridModel {
@@ -118,6 +153,7 @@ impl GridModel {
             caps,
             pads,
             block_nodes,
+            factors: Mutex::new(Vec::new()),
         })
     }
 
@@ -215,23 +251,60 @@ impl GridModel {
     /// Propagates load-shape and solver errors.
     pub fn dc_solve(&self, block_currents: &[f64]) -> Result<Vec<f64>, PowerGridError> {
         let loads = self.scatter_loads(block_currents)?;
-        let n = self.num_nodes;
         // System: (G_mesh + G_pads) v = g_pad·VDD − loads.
-        let mut t = TripletMatrix::with_capacity(n, n, self.mesh.nnz() + self.pads.len());
-        for i in 0..n {
-            for (j, g) in self.mesh.row_iter(i) {
-                t.add(i, j, g);
-            }
-        }
         let mut rhs: Vec<f64> = loads.iter().map(|&l| -l).collect();
         for pad in &self.pads {
             let g = 1.0 / pad.resistance;
-            t.stamp_grounded_conductance(pad.node, g);
             rhs[pad.node] += g * self.config.vdd;
         }
-        // The same RCM-ordered envelope factorization the transient path
-        // uses; the pads make the system SPD.
-        Ok(EnvelopeCholesky::factor(&t.to_csr())?.solve(&rhs)?)
+        let chol = self.factor(FactorKey::Dc, || {
+            let n = self.num_nodes;
+            let mut t = TripletMatrix::with_capacity(n, n, self.mesh.nnz() + self.pads.len());
+            for i in 0..n {
+                for (j, g) in self.mesh.row_iter(i) {
+                    t.add(i, j, g);
+                }
+            }
+            for pad in &self.pads {
+                t.stamp_grounded_conductance(pad.node, 1.0 / pad.resistance);
+            }
+            // The same RCM-ordered envelope factorization the transient
+            // path uses; the pads make the system SPD.
+            t.to_csr()
+        })?;
+        Ok(chol.solve(&rhs)?)
+    }
+
+    /// The factor of the system matrix `key`, built from `assemble` on
+    /// first use and shared from then on. Concurrent first uses wait for
+    /// one factorization.
+    pub(crate) fn factor(
+        &self,
+        key: FactorKey,
+        assemble: impl FnOnce() -> CsrMatrix,
+    ) -> Result<Arc<EnvelopeCholesky>, PowerGridError> {
+        let mut factors = self.lock_factors();
+        if let Some((_, chol)) = factors.iter().find(|(k, _)| *k == key) {
+            return Ok(Arc::clone(chol));
+        }
+        let chol = {
+            let _span = telemetry::span("grid.factor");
+            Arc::new(EnvelopeCholesky::factor(&assemble())?)
+        };
+        factors.push((key, Arc::clone(&chol)));
+        Ok(chol)
+    }
+
+    /// How many factors this model has built.
+    #[cfg(test)]
+    pub(crate) fn factors_built(&self) -> usize {
+        self.lock_factors().len()
+    }
+
+    fn lock_factors(&self) -> std::sync::MutexGuard<'_, Vec<(FactorKey, Arc<EnvelopeCholesky>)>> {
+        // The list only grows by a finished factor, so a panic while
+        // factoring leaves it valid.
+        self.factors.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// DC pad currents consistent with a DC node-voltage solution, used to

@@ -1,16 +1,26 @@
+use std::sync::Arc;
+
 use voltsense_sparse::{EnvelopeCholesky, TripletMatrix};
 use voltsense_telemetry as telemetry;
 
 use crate::integrator::Integration;
-use crate::model::GridModel;
+use crate::model::{FactorKey, GridModel};
 use crate::PowerGridError;
 
 /// Backward-Euler transient engine for a [`GridModel`].
 ///
 /// The BE companion models keep the system matrix
-/// `A = G_mesh + C/dt + Σ g_pad` constant, so construction factors it once
-/// and every [`TransientSimulator::step`] costs a single sparse triangular
-/// solve — the standard approach for power-grid transient analysis.
+/// `A = G_mesh + C/dt + Σ g_pad` constant, so every
+/// [`TransientSimulator::step`] costs a single sparse triangular solve
+/// against one factor, which the model builds on first use and shares
+/// with every simulator of the same timestep and scheme — the standard
+/// approach for power-grid transient analysis.
+///
+/// The state is kept in the factor's row order, so a step builds the
+/// right-hand side in that order and solves it in place; the only
+/// permutation left is the scatter of the node-order voltages that
+/// [`TransientSimulator::step`] returns. The result is bit-identical to
+/// assembling the right-hand side in node order and solving.
 ///
 /// Pad branches (series R–L to VDD) use the BE inductor companion:
 /// with `a = 1 / (1 + dt·R/L)` and `g_eff = (dt/L)·a`,
@@ -38,25 +48,33 @@ use crate::PowerGridError;
 pub struct TransientSimulator<'m> {
     model: &'m GridModel,
     method: Integration,
-    chol: EnvelopeCholesky,
-    /// Capacitor companion conductance per node: `C/dt` (BE) or `2C/dt`
-    /// (trapezoidal).
+    chol: Arc<EnvelopeCholesky>,
+    /// Per factor row: capacitor companion conductance `C/dt` (BE) or
+    /// `2C/dt` (trapezoidal).
     cap_g: Vec<f64>,
-    /// Capacitor branch currents — state used by the trapezoidal rule
-    /// (zero-length for backward Euler).
+    /// Per factor row: capacitor branch current — state used by the
+    /// trapezoidal rule (zero-length for backward Euler).
     cap_current: Vec<f64>,
+    /// Per factor row: the block whose current it draws, or `num_blocks`
+    /// (the zero at the end of `shares`).
+    row_block: Vec<usize>,
+    /// Per block: its node count; a node draws `current / count`.
+    block_len: Vec<f64>,
+    /// Per block: this step's current per node, then a zero.
+    shares: Vec<f64>,
+    /// Per pad: its factor row.
+    pad_row: Vec<usize>,
     /// Per pad: history coefficient `a` and effective conductance.
     pad_a: Vec<f64>,
     pad_g: Vec<f64>,
     /// Inductor currents (state).
     pad_current: Vec<f64>,
-    /// Node voltages (state).
+    /// Node voltages in factor order (state).
+    state: Vec<f64>,
+    /// The right-hand side, solved in place, then swapped into `state`.
+    next: Vec<f64>,
+    /// Node voltages in node order, as returned.
     voltages: Vec<f64>,
-    /// Scratch buffers for the per-step solve.
-    rhs: Vec<f64>,
-    scratch: Vec<f64>,
-    next_v: Vec<f64>,
-    loads: Vec<f64>,
     dt_s: f64,
     time_s: f64,
 }
@@ -104,11 +122,6 @@ impl<'m> TransientSimulator<'m> {
             Integration::Trapezoidal => 2.0,
         };
         let cap_g: Vec<f64> = model.caps().iter().map(|&c| cap_factor * c / dt_s).collect();
-        let cap_current = match method {
-            Integration::BackwardEuler => Vec::new(),
-            // At the DC operating point capacitor currents are zero.
-            Integration::Trapezoidal => vec![0.0; n],
-        };
         let mut pad_a = Vec::with_capacity(model.pads().len());
         let mut pad_g = Vec::with_capacity(model.pads().len());
         for pad in model.pads() {
@@ -132,21 +145,36 @@ impl<'m> TransientSimulator<'m> {
             }
         }
 
-        // Assemble and factor A = G_mesh + G_cap + Σ g_pad.
-        let mut t = TripletMatrix::with_capacity(n, n, model.mesh().nnz() + n);
-        for (i, &cg) in cap_g.iter().enumerate() {
-            for (j, g) in model.mesh().row_iter(i) {
-                t.add(i, j, g);
+        // A = G_mesh + G_cap + Σ g_pad, factored once per model.
+        let chol = model.factor(FactorKey::Transient { dt_s, method }, || {
+            let mut t = TripletMatrix::with_capacity(n, n, model.mesh().nnz() + n);
+            for (i, &cg) in cap_g.iter().enumerate() {
+                for (j, g) in model.mesh().row_iter(i) {
+                    t.add(i, j, g);
+                }
+                t.add(i, i, cg);
             }
-            t.add(i, i, cg);
+            for (pad, &g) in model.pads().iter().zip(&pad_g) {
+                t.add(pad.node, pad.node, g);
+            }
+            t.to_csr()
+        })?;
+
+        // Everything per node moves to factor order.
+        let perm = chol.permutation();
+        let mut row_of = vec![0; n];
+        for (row, &node) in perm.iter().enumerate() {
+            row_of[node] = row;
         }
-        for (pad, &g) in model.pads().iter().zip(&pad_g) {
-            t.add(pad.node, pad.node, g);
+        let num_blocks = model.num_blocks();
+        let mut row_block = vec![num_blocks; n];
+        for (b, nodes) in model.block_nodes().iter().enumerate() {
+            for &node in nodes {
+                assert_eq!(row_block[row_of[node]], num_blocks, "node {node} is in two blocks");
+                row_block[row_of[node]] = b;
+            }
         }
-        let chol = {
-            let _span = telemetry::span("transient.factor");
-            EnvelopeCholesky::factor(&t.to_csr())?
-        };
+        let pad_row: Vec<usize> = model.pads().iter().map(|pad| row_of[pad.node]).collect();
 
         // DC initial condition.
         let voltages = model.dc_solve(initial_block_currents)?;
@@ -155,19 +183,25 @@ impl<'m> TransientSimulator<'m> {
         Ok(TransientSimulator {
             model,
             method,
-            chol,
-            cap_g,
-            cap_current,
+            cap_g: perm.iter().map(|&node| cap_g[node]).collect(),
+            cap_current: match method {
+                Integration::BackwardEuler => Vec::new(),
+                // At the DC operating point capacitor currents are zero.
+                Integration::Trapezoidal => vec![0.0; n],
+            },
+            row_block,
+            block_len: model.block_nodes().iter().map(|nodes| nodes.len() as f64).collect(),
+            shares: vec![0.0; num_blocks + 1],
+            pad_row,
             pad_a,
             pad_g,
             pad_current,
+            state: perm.iter().map(|&node| voltages[node]).collect(),
+            next: vec![0.0; n],
             voltages,
-            rhs: vec![0.0; n],
-            scratch: vec![0.0; n],
-            next_v: vec![0.0; n],
-            loads: vec![0.0; n],
             dt_s,
             time_s: 0.0,
+            chol,
         })
     }
 
@@ -205,43 +239,58 @@ impl<'m> TransientSimulator<'m> {
     /// not match the block count.
     pub fn step(&mut self, block_currents: &[f64]) -> Result<&[f64], PowerGridError> {
         let _span = telemetry::span("transient.step");
-        self.model
-            .scatter_loads_into(block_currents, &mut self.loads)?;
+        if block_currents.len() != self.block_len.len() {
+            return Err(PowerGridError::ShapeMismatch {
+                what: "block currents",
+                expected: self.block_len.len(),
+                actual: block_currents.len(),
+            });
+        }
+        for ((share, &current), &len) in self
+            .shares
+            .iter_mut()
+            .zip(block_currents)
+            .zip(&self.block_len)
+        {
+            *share = current / len;
+        }
         let vdd = self.model.config().vdd;
+        let pads = self.model.pads();
 
-        // RHS = G_cap·v_n (+ cap history for trap) + pad history − loads.
-        for i in 0..self.rhs.len() {
-            self.rhs[i] = self.cap_g[i] * self.voltages[i] - self.loads[i];
+        // RHS = G_cap·v_n − loads (+ cap history for trap) + pad history,
+        // built in factor order straight into the solve's buffer. A node's
+        // load is `0 + share`, as scattering onto a zeroed vector gives.
+        let rhs = &mut self.next;
+        for (((r, &cg), &v), &b) in rhs
+            .iter_mut()
+            .zip(&self.cap_g)
+            .zip(&self.state)
+            .zip(&self.row_block)
+        {
+            *r = cg * v - (0.0 + self.shares[b]);
         }
         if self.method == Integration::Trapezoidal {
-            for (r, &ic) in self.rhs.iter_mut().zip(&self.cap_current) {
+            for (r, &ic) in rhs.iter_mut().zip(&self.cap_current) {
                 *r += ic;
             }
         }
-        for ((pad, (&a, &g)), &i_l) in self
-            .model
-            .pads()
+        for ((pad, &row), ((&a, &g), &i_l)) in pads
             .iter()
-            .zip(self.pad_a.iter().zip(&self.pad_g))
-            .zip(&self.pad_current)
+            .zip(&self.pad_row)
+            .zip(self.pad_a.iter().zip(&self.pad_g).zip(&self.pad_current))
         {
-            match self.method {
-                Integration::BackwardEuler => {
-                    self.rhs[pad.node] += a * i_l + g * vdd;
+            rhs[row] += match self.method {
+                Integration::BackwardEuler => a * i_l + g * vdd,
+                Integration::Trapezoidal if pad.inductance > 0.0 => {
+                    a * i_l + g * (2.0 * vdd - self.state[row])
                 }
-                Integration::Trapezoidal => {
-                    if pad.inductance > 0.0 {
-                        self.rhs[pad.node] +=
-                            a * i_l + g * (2.0 * vdd - self.voltages[pad.node]);
-                    } else {
-                        self.rhs[pad.node] += g * vdd;
-                    }
-                }
-            }
+                Integration::Trapezoidal => g * vdd,
+            };
         }
-
-        self.chol
-            .solve_into(&self.rhs, &mut self.next_v, &mut self.scratch)?;
+        self.chol.solve_in_factor_order(rhs)?;
+        for (&v, &node) in self.next.iter().zip(self.chol.permutation()) {
+            self.voltages[node] = v;
+        }
 
         // Update states from (v_n, v_{n+1}).
         if self.method == Integration::Trapezoidal {
@@ -249,35 +298,26 @@ impl<'m> TransientSimulator<'m> {
                 .cap_current
                 .iter_mut()
                 .zip(&self.cap_g)
-                .zip(self.voltages.iter().zip(self.next_v.iter()))
+                .zip(self.state.iter().zip(&self.next))
             {
                 *ic = gc * (vn1 - vn) - *ic;
             }
         }
-        for ((pad, (&a, &g)), i_l) in self
-            .model
-            .pads()
+        for ((pad, &row), ((&a, &g), i_l)) in pads
             .iter()
-            .zip(self.pad_a.iter().zip(&self.pad_g))
-            .zip(self.pad_current.iter_mut())
+            .zip(&self.pad_row)
+            .zip(self.pad_a.iter().zip(&self.pad_g).zip(self.pad_current.iter_mut()))
         {
-            match self.method {
-                Integration::BackwardEuler => {
-                    *i_l = a * *i_l + g * (vdd - self.next_v[pad.node]);
+            let (vn, vn1) = (self.state[row], self.next[row]);
+            *i_l = match self.method {
+                Integration::BackwardEuler => a * *i_l + g * (vdd - vn1),
+                Integration::Trapezoidal if pad.inductance > 0.0 => {
+                    a * *i_l + g * (2.0 * vdd - vn - vn1)
                 }
-                Integration::Trapezoidal => {
-                    if pad.inductance > 0.0 {
-                        *i_l = a * *i_l
-                            + g * (2.0 * vdd
-                                - self.voltages[pad.node]
-                                - self.next_v[pad.node]);
-                    } else {
-                        *i_l = g * (vdd - self.next_v[pad.node]);
-                    }
-                }
-            }
+                Integration::Trapezoidal => g * (vdd - vn1),
+            };
         }
-        std::mem::swap(&mut self.voltages, &mut self.next_v);
+        std::mem::swap(&mut self.state, &mut self.next);
         self.time_s += self.dt_s;
         Ok(&self.voltages)
     }
@@ -288,6 +328,158 @@ mod tests {
     use super::*;
     use crate::GridConfig;
     use voltsense_floorplan::{ChipConfig, ChipFloorplan};
+
+    /// The step as assembled in node order: loads scattered onto a zeroed
+    /// vector, the right-hand side built node by node, a node-order solve
+    /// against a factor of its own. The factor-order step must match it
+    /// bit for bit.
+    struct NodeOrderStep<'m> {
+        model: &'m GridModel,
+        method: Integration,
+        chol: EnvelopeCholesky,
+        cap_g: Vec<f64>,
+        cap_current: Vec<f64>,
+        pad_a: Vec<f64>,
+        pad_g: Vec<f64>,
+        pad_current: Vec<f64>,
+        voltages: Vec<f64>,
+        loads: Vec<f64>,
+    }
+
+    impl<'m> NodeOrderStep<'m> {
+        fn new(model: &'m GridModel, dt_ns: f64, initial: &[f64], method: Integration) -> Self {
+            let sim = TransientSimulator::with_method(model, dt_ns, initial, method).unwrap();
+            let n = model.num_nodes();
+            let cap_factor = if method == Integration::Trapezoidal { 2.0 } else { 1.0 };
+            let dt_s = dt_ns * 1e-9;
+            let cap_g: Vec<f64> = model.caps().iter().map(|&c| cap_factor * c / dt_s).collect();
+            let mut t = TripletMatrix::new(n, n);
+            for (i, &cg) in cap_g.iter().enumerate() {
+                for (j, g) in model.mesh().row_iter(i) {
+                    t.add(i, j, g);
+                }
+                t.add(i, i, cg);
+            }
+            for (pad, &g) in model.pads().iter().zip(&sim.pad_g) {
+                t.add(pad.node, pad.node, g);
+            }
+            NodeOrderStep {
+                model,
+                method,
+                chol: EnvelopeCholesky::factor(&t.to_csr()).unwrap(),
+                cap_g,
+                cap_current: vec![0.0; n],
+                pad_a: sim.pad_a.clone(),
+                pad_g: sim.pad_g.clone(),
+                pad_current: model.dc_pad_currents(&model.dc_solve(initial).unwrap()),
+                voltages: model.dc_solve(initial).unwrap(),
+                loads: vec![0.0; n],
+            }
+        }
+
+        fn step(&mut self, currents: &[f64]) -> &[f64] {
+            let vdd = self.model.config().vdd;
+            let trap = self.method == Integration::Trapezoidal;
+            self.model.scatter_loads_into(currents, &mut self.loads).unwrap();
+            let mut rhs: Vec<f64> = (0..self.loads.len())
+                .map(|i| self.cap_g[i] * self.voltages[i] - self.loads[i])
+                .collect();
+            if trap {
+                for (r, &ic) in rhs.iter_mut().zip(&self.cap_current) {
+                    *r += ic;
+                }
+            }
+            for (p, pad) in self.model.pads().iter().enumerate() {
+                let (a, g, i_l) = (self.pad_a[p], self.pad_g[p], self.pad_current[p]);
+                rhs[pad.node] += if !trap {
+                    a * i_l + g * vdd
+                } else if pad.inductance > 0.0 {
+                    a * i_l + g * (2.0 * vdd - self.voltages[pad.node])
+                } else {
+                    g * vdd
+                };
+            }
+            let next = self.chol.solve(&rhs).unwrap();
+            if trap {
+                for (((ic, &gc), &vn1), &vn) in
+                    self.cap_current.iter_mut().zip(&self.cap_g).zip(&next).zip(&self.voltages)
+                {
+                    *ic = gc * (vn1 - vn) - *ic;
+                }
+            }
+            for (p, pad) in self.model.pads().iter().enumerate() {
+                let (a, g, i_l) = (self.pad_a[p], self.pad_g[p], self.pad_current[p]);
+                let (vn, vn1) = (self.voltages[pad.node], next[pad.node]);
+                self.pad_current[p] = if !trap {
+                    a * i_l + g * (vdd - vn1)
+                } else if pad.inductance > 0.0 {
+                    a * i_l + g * (2.0 * vdd - vn - vn1)
+                } else {
+                    g * (vdd - vn1)
+                };
+            }
+            self.voltages = next;
+            &self.voltages
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn factor_order_steps_match_the_node_order_step_bit_for_bit() {
+        let chip = ChipFloorplan::new(&ChipConfig::small_test()).unwrap();
+        let blocks = chip.blocks().len();
+        for pad_l in [0.0, 4.0, GridConfig::default().pad_inductance_nh] {
+            let cfg = GridConfig { pad_inductance_nh: pad_l, ..GridConfig::default() };
+            let model = GridModel::build(&chip, &cfg).unwrap();
+            let initial: Vec<f64> = (0..blocks).map(|b| 0.01 * (b % 3) as f64).collect();
+            for method in [Integration::BackwardEuler, Integration::Trapezoidal] {
+                let mut sim =
+                    TransientSimulator::with_method(&model, 0.5, &initial, method).unwrap();
+                let mut oracle = NodeOrderStep::new(&model, 0.5, &initial, method);
+                assert_eq!(bits(sim.voltages()), bits(&oracle.voltages));
+                for step in 0..300 {
+                    // Bursty currents with exact zeros and a sign flip.
+                    let currents: Vec<f64> = (0..blocks)
+                        .map(|b| match (step / 7 + b) % 5 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2 => 0.03 * ((step * (b + 1)) as f64 * 0.37).sin(),
+                            _ => 0.02 + 0.001 * b as f64,
+                        })
+                        .collect();
+                    let got = bits(sim.step(&currents).unwrap());
+                    let want = bits(oracle.step(&currents));
+                    assert_eq!(got, want, "{method:?} L={pad_l} step {step}");
+                    assert_eq!(bits(sim.pad_currents()), bits(&oracle.pad_current));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simulators_share_one_factor_per_timestep_and_scheme() {
+        let (chip, model) = setup();
+        let idle = vec![0.0; chip.blocks().len()];
+        assert_eq!(model.factors_built(), 0, "building the model factors nothing");
+        let a = TransientSimulator::new(&model, 1.0, &idle).unwrap();
+        let b = TransientSimulator::new(&model, 1.0, &idle).unwrap();
+        assert!(Arc::ptr_eq(&a.chol, &b.chol));
+        // The transient factor and the DC factor of the initial condition.
+        assert_eq!(model.factors_built(), 2);
+        let c = TransientSimulator::with_method(&model, 1.0, &idle, Integration::Trapezoidal)
+            .unwrap();
+        let d = TransientSimulator::new(&model, 2.0, &idle).unwrap();
+        assert!(!Arc::ptr_eq(&a.chol, &c.chol) && !Arc::ptr_eq(&a.chol, &d.chol));
+        assert_eq!(model.factors_built(), 4);
+        // A clone shares what was built.
+        let copy = model.clone();
+        let e = TransientSimulator::new(&copy, 1.0, &idle).unwrap();
+        assert!(Arc::ptr_eq(&a.chol, &e.chol));
+        assert_eq!(copy.factors_built(), 4);
+    }
 
     fn setup() -> (ChipFloorplan, GridModel) {
         let chip = ChipFloorplan::new(&ChipConfig::small_test()).unwrap();

@@ -95,7 +95,7 @@ fn cholesky_solve_residual_small() {
 }
 
 #[test]
-fn cg_and_cholesky_agree() {
+fn envelope_and_dense_cholesky_agree() {
     forall!(cases = 64, (w in usize_range(2, 6), h in usize_range(2, 6),
                          gs in vec_f64(200, 0.1, 5.0)) => {
         let a = spd_grid(w, h, &gs);
