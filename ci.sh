@@ -77,7 +77,7 @@ echo "==> fleet chaos smoke (seeded soak + kill -9 restart drill)"
 # agreement, and a deterministic SLO fast-burn page from the laggy
 # tenant. The observability endpoints and incident files are checked
 # in-process by the telemetry and fleet test suites above. The binary
-# also gates the tracing and profiling overhead probes at ±30%. It writes
+# also gates the tracing overhead probe at ±30%. It writes
 # nothing under results/: checkpoints and the page's incident file go to
 # a per-run temp dir.
 VOLTSENSE_FLEET_SESSIONS=64 VOLTSENSE_FLEET_FRAMES=10000 \

@@ -1,6 +1,6 @@
 //! Fleet robustness drill: a seeded chaos soak, the kill-9 restart drill
 //! (every session resumes from its checkpoint, zero refits), and the
-//! tracing/profiling overhead probes.
+//! tracing overhead probe.
 //!
 //! Three phases:
 //!
@@ -14,11 +14,10 @@
 //!    no goodbye) + restart on the same checkpoint directory. Every
 //!    session must greet back `resumed` with its alarm intact and the
 //!    session factory must never run (zero refits).
-//! 3. **Overhead probes** — tracing on vs off and profiling on vs off on
-//!    a quiet server, each gated at ±30%: a step-change guard, since
-//!    nothing else bounds the cost of per-reading tracing. The ≤1%
-//!    target is below what best-of-3 rounds can resolve, so it is
-//!    printed as unresolved.
+//! 3. **Overhead probe** — tracing on vs off on a quiet server, gated at
+//!    ±30%: a step-change guard, since nothing else bounds the cost of
+//!    per-reading tracing. The ≤1% target is below what best-of-3 rounds
+//!    can resolve, so it is printed as unresolved.
 //!
 //! Soak and probe numbers are load- and machine-dependent, so they are
 //! only printed; the robustness properties are hard-asserted and the
@@ -39,18 +38,11 @@ use voltsense::fleet::frame::Frame;
 use voltsense::fleet::server::{FleetConfig, FleetServer, SessionFactory};
 use voltsense::fleet::session::{ChipMonitor, SessionKey};
 use voltsense::linalg::Matrix;
-use voltsense::telemetry::profile;
 use voltsense::telemetry::slo::SloConfig;
 use voltsense::telemetry::trace::{self, TraceConfig};
 use voltsense::telemetry::{self, env};
 use voltsense::workload::GaussianRng;
 use voltsense_bench::rule;
-
-// Route this binary's heap traffic through the counting allocator so the
-// profiling overhead probe below measures the full production cost of
-// the instrumentation: the disabled path (one relaxed load per alloc)
-// is what every un-profiled run pays, and the probe gates it.
-voltsense::telemetry::install_counting_allocator!();
 
 const CONTROL_TENANT: u64 = 1000;
 const LAGGY_TENANT: u64 = 9999;
@@ -141,7 +133,7 @@ fn probe_rps(addr: std::net::SocketAddr, tenant: u64) -> f64 {
     PROBE_READINGS as f64 / t0.elapsed().as_secs_f64()
 }
 
-/// The A/B protocol both overhead probes share: alternate three `a` and
+/// The tracing probe's A/B protocol: alternate three `a` and
 /// three `b` rounds (each closure gets the round index, for a fresh
 /// tenant per round so dedupe never interferes) and keep the best
 /// throughput of each mode — contention only subtracts, so the max is
@@ -155,7 +147,7 @@ fn best_of_3(mut a: impl FnMut(u64) -> f64, mut b: impl FnMut(u64) -> f64) -> (f
     (best_a, best_b)
 }
 
-/// The overhead probes' hard gate: on vs off throughput must agree
+/// The overhead probe's hard gate: on vs off throughput must agree
 /// within ±30%, the shared-runner noise floor. That catches a step
 /// change, not a drift toward the ≤1% target, which stays unresolved.
 fn outside_noise_floor(what: &str, on_rps: f64, off_rps: f64) -> Option<String> {
@@ -532,7 +524,7 @@ fn main() {
     // gates the client's trace stamp and the server's span clocks at once.
     let probe_cfg = FleetConfig { tick: Duration::from_millis(1), ..FleetConfig::default() };
     let mut probe_server =
-        FleetServer::start(probe_cfg.clone(), counting_factory(Arc::new(AtomicU64::new(0))))
+        FleetServer::start(probe_cfg, counting_factory(Arc::new(AtomicU64::new(0))))
             .expect("bind probe server");
     let probe_addr = probe_server.addr();
     let (traced_rps, untraced_rps) = best_of_3(
@@ -553,32 +545,6 @@ fn main() {
          ({trace_overhead_pct:+.2}%; <= 1% target unresolved, gate ±30%)"
     );
     failures.extend(outside_noise_floor("tracing", traced_rps, untraced_rps));
-
-    // --- profiling overhead probe --------------------------------------
-    // Profiled (99 Hz span-stack sampler + allocation accounting live) vs
-    // unprofiled rounds on a fresh quiet server. The unprofiled rounds
-    // still run with the counting allocator installed and span hooks
-    // compiled in — that disabled path (one relaxed load per alloc / per
-    // span) is the always-on cost the ≤1% budget covers.
-    let mut probe_server =
-        FleetServer::start(probe_cfg, counting_factory(Arc::new(AtomicU64::new(0))))
-            .expect("bind profile probe server");
-    let probe_addr = probe_server.addr();
-    let (profiled_rps, unprofiled_rps) = best_of_3(
-        |round| {
-            let _sampler = profile::start(profile::DEFAULT_HZ);
-            let _counting = profile::enable_counting();
-            probe_rps(probe_addr, 2200 + round)
-        },
-        |round| probe_rps(probe_addr, 2300 + round),
-    );
-    probe_server.stop();
-    let profile_overhead_pct = (unprofiled_rps - profiled_rps) / unprofiled_rps * 100.0;
-    println!(
-        "profiling overhead: profiled {profiled_rps:.0} rps vs unprofiled {unprofiled_rps:.0} \
-         rps ({profile_overhead_pct:+.2}%; <= 1% target unresolved, gate ±30%)"
-    );
-    failures.extend(outside_noise_floor("profiling", profiled_rps, unprofiled_rps));
     let _ = std::fs::remove_dir_all(&scratch);
 
     if !failures.is_empty() {

@@ -43,7 +43,6 @@ fn fault_aware_monitor_clone_copies_no_training_data() {
     let model = FaultTolerantModel::fit(&x, &f, &[0, 3, 6, 9]).unwrap();
     let monitor =
         EmergencyMonitor::fault_tolerant(model, 0.85, 1, 0.01, FaultPolicy::default()).unwrap();
-    profile::register_current_thread();
     let _window = profile::enable_counting();
     let (bytes_before, ..) = profile::thread_alloc_totals();
     let clone = std::hint::black_box(monitor.clone());

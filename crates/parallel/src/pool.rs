@@ -349,9 +349,6 @@ impl Drop for ThreadPool {
 
 fn worker_loop(shared: Arc<Shared>) {
     set_in_worker(true);
-    // Show up in continuous-profiler samples (as `(idle)` between
-    // batches) from the moment the worker exists, not its first span.
-    telemetry::profile::register_current_thread();
     let mut last_generation = 0u64;
     loop {
         let batch = {

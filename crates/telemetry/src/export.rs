@@ -49,6 +49,21 @@ impl EventSummary {
     }
 }
 
+/// One call path's exact aggregate over its closed spans ([`crate::profile`]).
+#[derive(Debug, Clone)]
+pub struct StackSummary {
+    /// Span names from the outermost enclosing span down to this one.
+    pub stack: Vec<String>,
+    pub calls: u64,
+    pub total_ns: u64,
+    /// `total_ns` minus the direct children's `total_ns`, floored at 0.
+    pub self_ns: u64,
+    /// Bytes and calls the allocation accountant counted on the span's
+    /// thread while it was open (zero outside a counting window).
+    pub alloc_bytes: u64,
+    pub alloc_calls: u64,
+}
+
 /// Immutable copy of everything a recorder captured.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -58,6 +73,8 @@ pub struct Snapshot {
     pub histograms: Vec<HistogramSummary>,
     pub spans: Vec<SpanSummary>,
     pub events: Vec<EventSummary>,
+    /// The exact per-call-path span fold, by descending `self_ns`, then path.
+    pub stacks: Vec<StackSummary>,
 }
 
 impl Snapshot {

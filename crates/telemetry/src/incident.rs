@@ -31,7 +31,8 @@
 //!   "sampling": [{"name": "bcd.sweep", "seen": 9000, "kept": 5120, "stride": 4}],
 //!   "ring": [{"seq": 0, "name": "...", "at_ns": 1, "fields": {...}}, ...],
 //!   "metrics": { "schema": "voltsense-metrics-v1", ... },
-//!   "traces": { "schema": "voltsense-trace-v1", ... }
+//!   "traces": { "schema": "voltsense-trace-v1", ... },
+//!   "profile": { "schema": "voltsense-profile-v2", ... }
 //! }
 //! ```
 //!
@@ -42,6 +43,10 @@
 //!
 //! `traces` is the registered trace buffer ([`crate::trace::current`]) at
 //! the moment of the incident, or `null` when none is installed.
+//!
+//! `profile` is the recorder's exact span profile
+//! ([`crate::Snapshot::to_profile_json`]), rendered from the same snapshot
+//! as `metrics`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -187,7 +192,8 @@ fn render(incident: &Incident, recorder: &MemoryRecorder, seq: u64, unix_ms: u64
     // The metrics snapshot is itself a complete `voltsense-metrics-v1`
     // document; embed it verbatim as a nested object.
     out.push_str("\n  ],\n  \"metrics\": ");
-    out.push_str(recorder.snapshot_newest(incident.kind, window).to_json().trim_end());
+    let snapshot = recorder.snapshot_newest(incident.kind, window);
+    out.push_str(snapshot.to_json().trim_end());
     // Likewise the trace buffer (`voltsense-trace-v1`), when one is
     // registered: the slowest traces at the moment of the incident are
     // exactly the request-level evidence a burn-rate page needs.
@@ -196,14 +202,10 @@ fn render(incident: &Incident, recorder: &MemoryRecorder, seq: u64, unix_ms: u64
         Some(traces) => out.push_str(traces.to_json().trim_end()),
         None => out.push_str("null"),
     }
-    // And the continuous profile (`voltsense-profile-v1`) when a sampler
-    // is running: where the cycles and allocations were going when the
-    // incident fired, without re-running anything.
+    // And the span profile (`voltsense-profile-v2`): where the time and
+    // allocations went up to the incident, without re-running anything.
     out.push_str(",\n  \"profile\": ");
-    match crate::profile::current() {
-        Some(profile) => out.push_str(profile.to_json().trim_end()),
-        None => out.push_str("null"),
-    }
+    out.push_str(snapshot.to_profile_json().trim_end());
     out.push_str("\n}\n");
     out
 }

@@ -25,6 +25,8 @@
 //!   Tests use this to capture without touching process globals, so
 //!   parallel test threads never observe each other's telemetry.
 
+#![deny(unsafe_code)]
+
 pub mod env;
 pub mod export;
 pub mod flight;
@@ -38,7 +40,7 @@ pub mod serve;
 pub mod slo;
 pub mod trace;
 
-pub use export::Snapshot;
+pub use export::{Snapshot, StackSummary};
 pub use flight::{RingEvent, SamplerStat};
 pub use histogram::Histogram;
 pub use recorder::{Detail, MemoryRecorder, Recorder, SpanId};
@@ -132,13 +134,11 @@ pub fn with_scoped<R>(recorder: Arc<dyn Recorder>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// RAII wall-clock span. Created by [`span`]; records the interval (and
-/// feeds the span-duration histogram) when dropped. When the continuous
-/// profiler is running ([`profile`]), the span also publishes its name on
-/// the thread's sampled stack for the duration.
+/// RAII wall-clock span. Created by [`span`]; when dropped, the recorder
+/// records the interval, feeds the span-duration histogram and folds it
+/// into its call path's exact profile ([`profile`]).
 pub struct Span {
     active: Option<(Arc<dyn Recorder>, SpanId)>,
-    profiled: bool,
 }
 
 impl Drop for Span {
@@ -146,28 +146,17 @@ impl Drop for Span {
         if let Some((recorder, id)) = self.active.take() {
             recorder.span_end(id);
         }
-        if self.profiled {
-            profile::pop_frame();
-        }
     }
 }
 
 /// Open a span named `name`. Free when telemetry is disabled.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    let profiled = profile::push_frame(name);
-    match current_recorder() {
-        Some(recorder) => {
+    Span {
+        active: current_recorder().map(|recorder| {
             let id = recorder.span_begin(name);
-            Span {
-                active: Some((recorder, id)),
-                profiled,
-            }
-        }
-        None => Span {
-            active: None,
-            profiled,
-        },
+            (recorder, id)
+        }),
     }
 }
 
@@ -308,8 +297,6 @@ pub struct ObservabilityGuard {
     /// capture is finalized on drop.
     _server: Option<serve::Server>,
     _export: Option<TelemetryGuard>,
-    /// The continuous profiler's sampler thread; stops on guard drop.
-    _sampler: Option<profile::SamplerGuard>,
 }
 
 impl ObservabilityGuard {
@@ -333,10 +320,9 @@ impl ObservabilityGuard {
 ///    for OS-assigned): starts [`serve::serve`] with `GET /metrics`
 ///    (Prometheus) and `GET /snapshot` (JSON) rendered live from the
 ///    recorder's newest `VOLTSENSE_FLIGHT_CAPACITY` ring entries;
-/// 4. honours `VOLTSENSE_PROFILE` / `VOLTSENSE_PROFILE_HZ`: starts the
-///    continuous span-stack sampler ([`profile::start_from_env`]), whose
-///    folded profile is served at `GET /profile` and embedded in
-///    incident snapshots.
+/// 4. the recorder folds every span into an exact per-call-path profile
+///    ([`profile`]), served at `GET /profile` from the same snapshots and
+///    embedded in incident snapshots. It needs no knob and no thread.
 ///
 /// Unlike diagnostic capture, this needs no environment variable: with
 /// nothing set you still get the bounded-memory recorder and incident
@@ -371,11 +357,9 @@ pub fn init_always_on(suite: &str) -> ObservabilityGuard {
             }
         }
     });
-    let sampler = profile::start_from_env();
     ObservabilityGuard {
         flight,
         _server: server,
         _export: export,
-        _sampler: sampler,
     }
 }

@@ -7,9 +7,10 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-use crate::export::{EventSummary, HistogramSummary, Snapshot, SpanSummary};
+use crate::export::{EventSummary, HistogramSummary, Snapshot, SpanSummary, StackSummary};
 use crate::flight::{RingEvent, SamplerStat};
 use crate::histogram::Histogram;
+use crate::profile::thread_alloc_totals;
 
 /// Opaque handle returned by [`Recorder::span_begin`] and consumed by
 /// [`Recorder::span_end`]. `SpanId(0)` is the reserved "no span" handle that
@@ -114,9 +115,68 @@ struct Ring {
 }
 
 struct OpenSpan {
-    name: &'static str,
     start_ns: u64,
     thread: u32,
+    /// Its call path's index in [`SpanTable::paths`], which names it.
+    path: usize,
+    /// The thread's `(alloc_bytes, alloc_calls)` when it began.
+    alloc_at_begin: (u64, u64),
+}
+
+/// One interned call path and its exact aggregate over closed spans.
+#[derive(Clone, Copy, Default)]
+struct PathStat {
+    parent: Option<usize>,
+    name: &'static str,
+    calls: u64,
+    total_ns: u64,
+    alloc_bytes: u64,
+    alloc_calls: u64,
+}
+
+/// The open spans and the per-path fold of the closed ones, under one lock.
+#[derive(Default)]
+struct SpanTable {
+    open: BTreeMap<u64, OpenSpan>,
+    /// Interned call paths; a path's id is its index.
+    paths: Vec<PathStat>,
+    /// `(parent path, name)` → path id.
+    path_ids: BTreeMap<(Option<usize>, &'static str), usize>,
+}
+
+/// Render the fold of closed spans: every path with at least one call, its
+/// names outermost first and its self time, heaviest first.
+fn fold_stacks(paths: &[PathStat]) -> Vec<StackSummary> {
+    let mut children_ns = vec![0u64; paths.len()];
+    for p in paths {
+        if let Some(parent) = p.parent {
+            children_ns[parent] += p.total_ns;
+        }
+    }
+    let mut stacks: Vec<StackSummary> = paths
+        .iter()
+        .zip(&children_ns)
+        .filter(|(p, _)| p.calls > 0)
+        .map(|(p, &children)| {
+            let mut stack = vec![p.name.to_string()];
+            let mut up = p.parent;
+            while let Some(i) = up {
+                stack.push(paths[i].name.to_string());
+                up = paths[i].parent;
+            }
+            stack.reverse();
+            StackSummary {
+                stack,
+                calls: p.calls,
+                total_ns: p.total_ns,
+                self_ns: p.total_ns.saturating_sub(children),
+                alloc_bytes: p.alloc_bytes,
+                alloc_calls: p.alloc_calls,
+            }
+        })
+        .collect();
+    stacks.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.stack.cmp(&b.stack)));
+    stacks
 }
 
 /// A span as the snapshot builder sees it before parentage is derived.
@@ -149,11 +209,14 @@ struct RawSpan {
 ///   1, nothing is evicted, and the recorder reports [`Detail::Full`].
 ///   [`MemoryRecorder::bounded`] keeps constant memory and reports
 ///   [`Detail::Sampled`];
+/// * **exact span profile** — each span is folded into its call path's
+///   `calls`, `total_ns` and allocation delta when it closes
+///   ([`crate::profile`]); like the histograms, never decimated;
 /// * **lock-light** — each signal kind has its own mutex, so a counter
 ///   bump never contends with a ring push.
 ///
-/// Span parentage is not tracked while recording: [`MemoryRecorder::snapshot`]
-/// derives each span's parent as the innermost enclosing retained span
+/// The ring stores no parent links: [`MemoryRecorder::snapshot`] derives
+/// each retained span's parent as the innermost enclosing retained span
 /// on the same thread.
 pub struct MemoryRecorder {
     epoch: Instant,
@@ -162,7 +225,7 @@ pub struct MemoryRecorder {
     gauges: Mutex<BTreeMap<&'static str, f64>>,
     histograms: Mutex<BTreeMap<&'static str, (Histogram, &'static str)>>,
     ring: Mutex<Ring>,
-    open_spans: Mutex<BTreeMap<u64, OpenSpan>>,
+    spans: Mutex<SpanTable>,
     next_span: AtomicU64,
 }
 
@@ -199,7 +262,7 @@ impl MemoryRecorder {
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
             ring: Mutex::new(Ring::default()),
-            open_spans: Mutex::new(BTreeMap::new()),
+            spans: Mutex::new(SpanTable::default()),
             next_span: AtomicU64::new(1),
         }
     }
@@ -267,8 +330,8 @@ impl MemoryRecorder {
     }
 
     /// Copy the current state into an immutable [`Snapshot`]: exact
-    /// aggregates, every retained event and span, and the spans still open
-    /// at snapshot time, which end at the snapshot instant.
+    /// aggregates and span profile, every retained event and span, and the
+    /// spans still open at snapshot time, which end at the snapshot instant.
     pub fn snapshot(&self, suite: &str) -> Snapshot {
         self.snapshot_newest(suite, usize::MAX)
     }
@@ -299,16 +362,17 @@ impl MemoryRecorder {
             })
             .collect();
 
-        // A closing span leaves the open map and enters the ring under the
-        // open-span lock, so holding it here sees each span exactly once.
+        // A closing span leaves the open map and enters the ring and the
+        // fold under the span-table lock, so holding it here sees each span
+        // exactly once.
         let mut raw = Vec::new();
         let mut events = Vec::new();
-        {
-            let open = lock(&self.open_spans);
+        let paths = {
+            let table = lock(&self.spans);
             let now = self.now_ns();
-            raw.extend(open.iter().map(|(&id, s)| RawSpan {
+            raw.extend(table.open.iter().map(|(&id, s)| RawSpan {
                 id,
-                name: s.name,
+                name: table.paths[s.path].name,
                 start_ns: s.start_ns,
                 end_ns: now,
                 thread: s.thread as usize,
@@ -334,7 +398,8 @@ impl MemoryRecorder {
                     }),
                 }
             }
-        }
+            table.paths.clone()
+        };
 
         // Dense thread indices, in the order threads first recorded
         // anything in this process.
@@ -374,6 +439,7 @@ impl MemoryRecorder {
             histograms,
             spans,
             events,
+            stacks: fold_stacks(&paths),
         }
     }
 }
@@ -383,7 +449,17 @@ impl Recorder for MemoryRecorder {
         let start_ns = self.now_ns();
         let id = self.next_span.fetch_add(1, Ordering::Relaxed);
         let thread = thread_tag();
-        lock(&self.open_spans).insert(id, OpenSpan { name, start_ns, thread });
+        let (alloc_bytes, alloc_calls, ..) = thread_alloc_totals();
+        let mut table = lock(&self.spans);
+        // The parent is the latest-begun span on this thread still open.
+        let parent = table.open.values().rev().find(|s| s.thread == thread).map(|s| s.path);
+        let next = table.paths.len();
+        let path = *table.path_ids.entry((parent, name)).or_insert(next);
+        if path == next {
+            table.paths.push(PathStat { parent, name, ..PathStat::default() });
+        }
+        let alloc_at_begin = (alloc_bytes, alloc_calls);
+        table.open.insert(id, OpenSpan { start_ns, thread, path, alloc_at_begin });
         SpanId(id)
     }
 
@@ -392,15 +468,24 @@ impl Recorder for MemoryRecorder {
             return;
         }
         let end_ns = self.now_ns();
+        let (alloc_bytes, alloc_calls, ..) = thread_alloc_totals();
         let (name, dur_ns) = {
-            let mut open = lock(&self.open_spans);
-            let Some(span) = open.remove(&id.0) else {
+            let mut table = lock(&self.spans);
+            let Some(span) = table.open.remove(&id.0) else {
                 return;
             };
             let dur_ns = end_ns.saturating_sub(span.start_ns);
+            let path = &mut table.paths[span.path];
+            let name = path.name;
+            path.calls += 1;
+            path.total_ns += dur_ns;
+            // Saturating: a span closed on another thread than it began on
+            // reads that thread's totals.
+            path.alloc_bytes += alloc_bytes.saturating_sub(span.alloc_at_begin.0);
+            path.alloc_calls += alloc_calls.saturating_sub(span.alloc_at_begin.1);
             let body = Body::Span { id: id.0, dur_ns };
-            self.offer(span.name, span.start_ns + dur_ns, span.thread, body);
-            (span.name, dur_ns)
+            self.offer(name, span.start_ns + dur_ns, span.thread, body);
+            (name, dur_ns)
         };
         lock(&self.histograms)
             .entry(name)

@@ -12,10 +12,10 @@
 //!   ([`crate::trace::current`]; an empty document when none is installed);
 //! * `GET /slo` — the `voltsense-slo-v1` per-tenant burn-rate view
 //!   ([`crate::slo::current`]; an empty document when none is installed);
-//! * `GET /profile` — the `voltsense-profile-v1` continuous-profiling
-//!   document ([`crate::profile::current`]; empty when no sampler runs);
+//! * `GET /profile` — the `voltsense-profile-v2` exact span profile of the
+//!   same snapshot ([`Snapshot::to_profile_json`]);
 //!   `GET /profile?format=collapsed` serves flamegraph-compatible
-//!   collapsed-stack text instead;
+//!   collapsed-stack text instead ([`Snapshot::to_collapsed`]);
 //! * `GET /healthz` — readiness. With no [`install_health`] source this is
 //!   the legacy unconditional `200 ok`; with one installed it answers
 //!   `200`/`503` with a JSON body (quarantined/degraded session counts,
@@ -217,7 +217,7 @@ fn endpoint_index() -> String {
         "    {\"path\": \"/snapshot\", \"description\": \"voltsense-metrics-v1 JSON snapshot\"},\n",
         "    {\"path\": \"/trace\", \"description\": \"voltsense-trace-v1 tail-sampled traces\"},\n",
         "    {\"path\": \"/slo\", \"description\": \"voltsense-slo-v1 per-tenant burn rates\"},\n",
-        "    {\"path\": \"/profile\", \"description\": \"voltsense-profile-v1 continuous profile\"},\n",
+        "    {\"path\": \"/profile\", \"description\": \"voltsense-profile-v2 exact span profile\"},\n",
         "    {\"path\": \"/profile?format=collapsed\", \"description\": \"flamegraph collapsed-stack text\"},\n",
         "    {\"path\": \"/healthz\", \"description\": \"readiness probe\"}\n",
         "  ]\n}\n"
@@ -284,23 +284,15 @@ fn handle(mut stream: TcpStream, source: &SnapshotSource) -> std::io::Result<()>
                             .map(|s| s.to_json())
                             .unwrap_or_else(crate::slo::empty_json),
                     ),
-                    "/profile" if query == "format=collapsed" => (
-                        "200 OK",
-                        "text/plain; charset=utf-8",
-                        crate::profile::current()
-                            .map(|p| p.to_collapsed())
-                            .unwrap_or_default(),
-                    ),
+                    "/profile" if query == "format=collapsed" => {
+                        ("200 OK", "text/plain; charset=utf-8", source().to_collapsed())
+                    }
                     // Bare `/profile` only: an unrecognized format query
                     // falls through to 404 rather than silently serving
                     // JSON to a client that asked for something else.
-                    "/profile" if query.is_empty() => (
-                        "200 OK",
-                        "application/json",
-                        crate::profile::current()
-                            .map(|p| p.to_json())
-                            .unwrap_or_else(crate::profile::empty_json),
-                    ),
+                    "/profile" if query.is_empty() => {
+                        ("200 OK", "application/json", source().to_profile_json())
+                    }
                     "/healthz" => match health_source() {
                         None => ("200 OK", "text/plain", "ok\n".to_string()),
                         Some(health) => {

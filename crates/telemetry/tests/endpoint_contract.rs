@@ -5,8 +5,7 @@
 //!
 //! The endpoint is bound on `127.0.0.1:0` and scraped over real HTTP;
 //! files land in a per-test temp directory. Only the export test installs
-//! a process-global recorder and only the profile test a process-global
-//! profiler.
+//! a process-global recorder.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -17,7 +16,7 @@ use std::time::Duration;
 use voltsense_telemetry::incident::{self, Incident};
 use voltsense_telemetry::json::{self, Value};
 use voltsense_telemetry::serve::{serve, SnapshotSource};
-use voltsense_telemetry::{profile, MemoryRecorder, Recorder};
+use voltsense_telemetry::{MemoryRecorder, Recorder};
 
 /// One plain HTTP/1.1 GET; returns (status code, body).
 fn get(addr: SocketAddr, path: &str) -> (u32, String) {
@@ -106,82 +105,80 @@ fn export_files_carry_spans_counters_histograms_and_complete_events() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Parse one collapsed line into (stack, count).
+/// Parse one collapsed line into (stack, weight).
 fn parse_collapsed_line(line: &str) -> (&str, u64) {
-    let (stack, count) = line
+    let (stack, weight) = line
         .rsplit_once(' ')
-        .unwrap_or_else(|| panic!("collapsed line without a count: {line:?}"));
-    let count = count
+        .unwrap_or_else(|| panic!("collapsed line without a weight: {line:?}"));
+    let weight = weight
         .parse()
-        .unwrap_or_else(|_| panic!("unparseable collapsed count: {line:?}"));
+        .unwrap_or_else(|_| panic!("unparseable collapsed weight: {line:?}"));
     assert!(
         !stack.is_empty() && !stack.split(';').any(str::is_empty),
         "empty frame in collapsed stack: {line:?}"
     );
-    (stack, count)
+    (stack, weight)
 }
 
 #[test]
 fn profile_route_serves_a_consistent_profile() {
-    let sampler = profile::start(1000.0);
-    let profiler = sampler.profiler().clone();
-    {
-        let _outer = voltsense_telemetry::span("contract.outer");
-        let _inner = voltsense_telemetry::span("contract.inner");
+    let recorder = Arc::new(MemoryRecorder::bounded(16));
+    voltsense_telemetry::with_scoped(recorder.clone(), || {
         for _ in 0..4 {
-            profiler.sample_once();
+            let _outer = voltsense_telemetry::span("contract.outer");
+            let _inner = voltsense_telemetry::span("contract.inner");
         }
-    }
-    profiler.sample_once(); // this thread, idle
-    // Stop the sampler thread so the document no longer moves; the
-    // profiler stays installed for the route.
-    drop(sampler);
-
-    let source: SnapshotSource = Arc::new(|| MemoryRecorder::bounded(1).snapshot("profile_contract"));
+    });
+    let source: SnapshotSource = Arc::new(move || recorder.snapshot("profile_contract"));
     let server = serve("127.0.0.1:0", source).expect("bind");
     let (status, body) = get(server.addr(), "/profile");
     assert_eq!(status, 200, "{body}");
     let doc = json::parse(&body).expect("/profile parses");
-    assert_eq!(schema(&doc), Some("voltsense-profile-v1"));
-    assert_eq!(num(&doc, "hz"), Some(1000.0));
-    for key in ["passes", "samples", "idle_samples", "unstable_reads"] {
-        assert!(num(&doc, key).is_some(), "/profile: missing numeric {key:?}");
-    }
-    let samples = num(&doc, "samples").unwrap() as u64;
-    assert!(samples > 0, "sampler never ran");
-    let threads = doc.get("threads").and_then(Value::as_array).expect("threads array");
-    assert!(!threads.is_empty(), "no sampled threads");
+    assert_eq!(schema(&doc), Some("voltsense-profile-v2"));
     let stacks = doc.get("stacks").and_then(Value::as_array).expect("stacks array");
-    let mut stack_sum = 0u64;
+    let (mut self_sum, mut root_sum) = (0u64, 0u64);
     for entry in stacks {
         let frames = entry.get("stack").and_then(Value::as_array).expect("stack array");
         assert!(
-            frames.iter().all(|f| f.as_str().is_some_and(|s| !s.is_empty())),
+            !frames.is_empty() && frames.iter().all(|f| f.as_str().is_some_and(|s| !s.is_empty())),
             "empty frame name in {entry:?}"
         );
-        stack_sum += num(entry, "count").expect("stack count") as u64;
+        for key in ["calls", "total_ns", "self_ns", "alloc_bytes", "alloc_calls"] {
+            assert!(num(entry, key).is_some(), "/profile stack: missing numeric {key:?}");
+        }
+        let (total, self_ns) = (num(entry, "total_ns").unwrap(), num(entry, "self_ns").unwrap());
+        assert!(self_ns <= total, "self time above total in {entry:?}");
+        self_sum += self_ns as u64;
+        if frames.len() == 1 {
+            root_sum += total as u64;
+        }
     }
-    let idle = num(&doc, "idle_samples").unwrap() as u64;
-    assert_eq!(stack_sum + idle, samples, "stack counts + idle == samples");
-    assert!(
-        doc.get("alloc").and_then(|a| a.get("allocator_installed")).is_some(),
-        "alloc section lacks \"allocator_installed\""
-    );
+    assert_eq!(self_sum, root_sum, "Σ self_ns == Σ root total_ns");
+    for key in ["allocator_installed", "counting"] {
+        let flag = doc.get("alloc").and_then(|a| a.get(key));
+        assert!(matches!(flag, Some(Value::Bool(_))), "alloc section lacks boolean {key:?}");
+    }
 
     let (status, collapsed) = get(server.addr(), "/profile?format=collapsed");
     assert_eq!(status, 200, "{collapsed}");
     let mut prev = u64::MAX;
+    let mut collapsed_sum = 0;
     for line in collapsed.lines() {
-        let (_, count) = parse_collapsed_line(line);
-        assert!(count <= prev, "collapsed counts not descending at {line:?}");
-        prev = count;
+        let (_, weight) = parse_collapsed_line(line);
+        assert!(weight <= prev, "collapsed weights not descending at {line:?}");
+        prev = weight;
+        collapsed_sum += weight;
     }
-    let (_, nested) = collapsed
-        .lines()
-        .map(parse_collapsed_line)
-        .find(|(stack, _)| *stack == "contract.outer;contract.inner")
-        .unwrap_or_else(|| panic!("no nested stack in:\n{collapsed}"));
-    assert!(nested >= 4, "the four explicit samples are folded: {nested}");
+    assert_eq!(collapsed_sum, self_sum, "collapsed weights are the JSON self times");
+    let nested = stacks
+        .iter()
+        .find(|s| {
+            matches!(s.get("stack"), Some(Value::Array(frames))
+                if frames.iter().filter_map(Value::as_str).eq(["contract.outer", "contract.inner"]))
+        })
+        .unwrap_or_else(|| panic!("no nested stack in {body}"));
+    assert_eq!(num(nested, "calls"), Some(4.0), "every close is folded, none sampled");
+    assert!(collapsed.contains("contract.outer;contract.inner "), "{collapsed}");
 }
 
 /// Structural check of one `voltsense-incident-v1` file; returns its kind.
@@ -236,6 +233,11 @@ fn check_incident_file(path: &Path) -> String {
         doc.get("metrics").and_then(schema),
         Some("voltsense-metrics-v1"),
         "{path:?}: embedded metrics snapshot lacks its schema marker"
+    );
+    assert_eq!(
+        doc.get("profile").and_then(schema),
+        Some("voltsense-profile-v2"),
+        "{path:?}: embedded span profile lacks its schema marker"
     );
     kind.to_string()
 }

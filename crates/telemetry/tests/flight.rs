@@ -3,8 +3,11 @@
 //! aggregate exactness of a bounded recorder against an unbounded one,
 //! and span parentage derived from nesting per thread.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{close_innermost_first, run_span_program, span_program};
 use voltsense_telemetry::{flight, incident, Detail, MemoryRecorder, Recorder};
 use voltsense_testkit::{forall, u64_range, usize_range, vec_f64};
 
@@ -125,53 +128,6 @@ const SPAN_NAMES: [[&str; 5]; 4] = [
     ["t3.d0", "t3.d1", "t3.d2", "t3.d3", "t3.d4"],
 ];
 
-/// A random nested span program of depth at most 5: `true` opens a span,
-/// `false` closes the innermost open one.
-fn span_program(seed: u64, len: usize) -> Vec<bool> {
-    let mut state = seed;
-    let mut depth = 0;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let open = depth == 0 || (depth < 5 && (state >> 33).is_multiple_of(2));
-            if open {
-                depth += 1;
-            } else {
-                depth -= 1;
-            }
-            open
-        })
-        .collect()
-}
-
-/// Runs `program` as program thread `t` through the free functions. Returns
-/// the spans still open, innermost last, and the per-thread-stack oracle:
-/// each span's name and its parent's index among this thread's spans.
-#[allow(clippy::type_complexity)]
-fn run_span_program(
-    t: usize,
-    program: &[bool],
-) -> (Vec<voltsense_telemetry::Span>, Vec<(&'static str, Option<usize>)>) {
-    let mut open: Vec<(voltsense_telemetry::Span, usize)> = Vec::new();
-    let mut oracle = Vec::new();
-    for &op in program {
-        if op {
-            let name = SPAN_NAMES[t][open.len()];
-            oracle.push((name, open.last().map(|&(_, i)| i)));
-            open.push((voltsense_telemetry::span(name), oracle.len() - 1));
-        } else {
-            open.pop();
-        }
-    }
-    (open.into_iter().map(|(span, _)| span).collect(), oracle)
-}
-
-fn close_innermost_first(mut open: Vec<voltsense_telemetry::Span>) {
-    while open.pop().is_some() {}
-}
-
 /// Random nested programs on 1–4 threads; the snapshot's `parent` and
 /// `thread` must equal the per-thread-stack oracle. Program thread 0 runs
 /// on the calling thread and keeps its unclosed spans open across the
@@ -192,7 +148,8 @@ fn parentage_matches_the_stack_oracle(make: fn() -> MemoryRecorder) {
                     let (rec, program) = (rec.clone(), &programs[t]);
                     scope.spawn(move || {
                         voltsense_telemetry::with_scoped(rec, || {
-                            let (open, oracle) = run_span_program(t, program);
+                            let (open, oracle) =
+                                run_span_program(program, |_, depth| SPAN_NAMES[t][depth]);
                             close_innermost_first(open);
                             oracle
                         })
@@ -202,7 +159,7 @@ fn parentage_matches_the_stack_oracle(make: fn() -> MemoryRecorder) {
             workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         let snap = voltsense_telemetry::with_scoped(rec.clone(), || {
-            let (open, oracle) = run_span_program(0, &programs[0]);
+            let (open, oracle) = run_span_program(&programs[0], |_, depth| SPAN_NAMES[0][depth]);
             oracles.insert(0, oracle);
             let snap = rec.snapshot("parentage");
             close_innermost_first(open);

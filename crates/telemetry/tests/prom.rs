@@ -47,6 +47,7 @@ fn empty_snapshot(suite: &str) -> Snapshot {
         histograms: Vec::new(),
         spans: Vec::new(),
         events: Vec::new(),
+        stacks: Vec::new(),
     }
 }
 

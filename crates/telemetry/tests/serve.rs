@@ -217,34 +217,26 @@ fn root_serves_endpoint_index() {
 
 #[test]
 fn profile_route_serves_json_and_collapsed() {
-    use voltsense_telemetry::profile::{self, Profiler};
-
     let source: SnapshotSource = Arc::new(|| MemoryRecorder::bounded(1).snapshot("profile"));
     let server = serve("127.0.0.1:0", source).expect("bind");
     let addr = server.addr();
 
-    // With no profiler installed the route still answers with a valid
-    // empty document (never 404 — scrapers can rely on the schema).
+    // An empty recorder still answers with a valid document (never 404 —
+    // scrapers can rely on the schema).
     let (status, headers, body) = get(addr, "/profile");
     assert!(status.contains("200"), "{status}");
     assert!(headers.contains("application/json"), "{headers}");
     let doc = json::parse(&body).expect("empty profile parses");
-    assert_eq!(doc.get("schema").and_then(Value::as_str), Some("voltsense-profile-v1"));
-    assert_eq!(doc.get("samples").and_then(Value::as_f64), Some(0.0));
+    assert_eq!(doc.get("schema").and_then(Value::as_str), Some("voltsense-profile-v2"));
+    assert_eq!(doc.get("stacks").and_then(Value::as_array).map(<[Value]>::len), Some(0));
+    assert!(doc.get("alloc").and_then(|a| a.get("allocator_installed")).is_some(), "{body}");
 
-    // Install a profiler; the route serves it live.
-    profile::install(Arc::new(Profiler::new(42.0)));
-    let (status, _, body) = get(addr, "/profile");
-    assert!(status.contains("200"), "{status}");
-    let doc = json::parse(&body).expect("profile parses");
-    assert_eq!(doc.get("hz").and_then(Value::as_f64), Some(42.0));
-
-    // Collapsed format: empty profile, empty text — but still 200 and
+    // Collapsed format: no spans, empty text — but still 200 and
     // text/plain.
     let (status, headers, body) = get(addr, "/profile?format=collapsed");
     assert!(status.contains("200"), "{status}");
     assert!(headers.contains("text/plain"), "{headers}");
-    assert!(body.is_empty(), "no samples yet, got: {body}");
+    assert!(body.is_empty(), "no spans yet, got: {body}");
 
     // Unknown query on a known path is a 404, not a silent default.
     let (status, _, _) = get(addr, "/profile?format=svg");

@@ -116,7 +116,6 @@ fn assembly_allocates_about_one_copy_of_x_and_f() {
     let s = Scenario::small().expect("scenario builds");
     let maps: Vec<(usize, SampledMaps)> = (0..8).map(|b| simulate(&s, b, 100)).collect();
 
-    profile::register_current_thread();
     let window = profile::enable_counting();
     let (before, _, _, _) = profile::thread_alloc_totals();
     let data = ScenarioData::assemble(s.chip(), &maps).expect("assembles");

@@ -1,9 +1,9 @@
 //! Observability end to end, on the real methodology and monitor:
 //!
-//! * sampler attribution — a small fit profiled through the live
-//!   `/profile?format=collapsed` route must show a group-lasso solver span
-//!   (`gl.bcd.*` / `gl.fista.*`) as the hottest frame nested below
-//!   `methodology.*`, not some untracked frame;
+//! * profile attribution — one small fit under a recorder, profiled
+//!   through the live `/profile?format=collapsed` route, must show a
+//!   group-lasso solver span (`gl.bcd.*` / `gl.fista.*`) as the hottest
+//!   frame nested below `methodology.*`, not some untracked frame;
 //! * incidents — a fault-aware monitor under the flight recorder, with a
 //!   sensor stuck mid-trace, must leave an `alarm` file, a `hot_swap` file
 //!   naming the failed sensor, and `monitor.alarm` in a frozen ring. The
@@ -11,23 +11,20 @@
 //!   `endpoint_contract` suite; this checks what a real monitor writes.
 //!
 //! Only the incident test touches the process flight registry and
-//! `VOLTSENSE_INCIDENT_DIR`; only the attribution test runs a profiler.
+//! `VOLTSENSE_INCIDENT_DIR`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use voltsense::core::{EmergencyMonitor, FaultPolicy, FaultTolerantModel};
 use voltsense::core::{Methodology, MethodologyConfig};
 use voltsense::linalg::Matrix;
 use voltsense::telemetry::json::{self, Value};
 use voltsense::telemetry::serve::{serve, SnapshotSource};
-use voltsense::telemetry::{self, flight, profile, MemoryRecorder, Recorder};
+use voltsense::telemetry::{self, flight, MemoryRecorder, Recorder};
 use voltsense::workload::GaussianRng;
-
-/// Samples needed below `methodology.*` before the tally is trusted.
-const MIN_SAMPLES: u64 = 50;
 
 /// `m` candidates and `k` targets over `n` samples, all driven by a few
 /// shared latent sources plus small noise: the selection has real
@@ -66,13 +63,13 @@ fn collapsed(addr: std::net::SocketAddr) -> String {
     body.to_string()
 }
 
-/// Inclusive sample count per frame, counting only frames nested below
-/// a frame that starts with `parent`.
+/// Inclusive self time per frame, counting only frames nested below a
+/// frame that starts with `parent`.
 fn tally_under(collapsed: &str, parent: &str) -> Vec<(String, u64)> {
     let mut counts: Vec<(String, u64)> = Vec::new();
     for line in collapsed.lines() {
-        let (stack, count) = line.rsplit_once(' ').expect("collapsed line has a count");
-        let count: u64 = count.parse().expect("numeric count");
+        let (stack, count) = line.rsplit_once(' ').expect("collapsed line has a weight");
+        let count: u64 = count.parse().expect("integer weight");
         let mut in_scope = false;
         for frame in stack.split(';') {
             if in_scope {
@@ -91,32 +88,24 @@ fn tally_under(collapsed: &str, parent: &str) -> Vec<(String, u64)> {
 fn hottest_frame_under_the_methodology_is_a_group_lasso_solver() {
     let (x, f) = latent_mixture(0x9F0F, 4, 48, 24, 300);
     let config = MethodologyConfig::default();
-    let source: SnapshotSource = Arc::new(|| MemoryRecorder::bounded(1).snapshot("profile_attribution"));
+    // The always-on process recorder's kind: a bounded ring, whose span
+    // profile is still exact.
+    let recorder = Arc::new(MemoryRecorder::bounded(4096));
+    telemetry::with_scoped(recorder.clone() as Arc<dyn Recorder>, || {
+        Methodology::fit_with_sensor_count(&x, &f, 4, &config).expect("fit");
+    });
+    let source: SnapshotSource = Arc::new(move || recorder.snapshot("profile_attribution"));
     let server = serve("127.0.0.1:0", source).expect("bind");
 
-    // Well above the production 99 Hz so a short fit yields enough samples.
-    let sampler = profile::start(1000.0);
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let mut fits = 0;
-    let counts = loop {
-        Methodology::fit_with_sensor_count(&x, &f, 4, &config).expect("fit");
-        fits += 1;
-        let counts = tally_under(&collapsed(server.addr()), "methodology.");
-        let seen: u64 = counts.iter().map(|(_, c)| c).max().copied().unwrap_or(0);
-        if seen >= MIN_SAMPLES || Instant::now() >= deadline {
-            break counts;
-        }
-    };
-    drop(sampler);
-
-    let (frame, count) = counts
+    let counts = tally_under(&collapsed(server.addr()), "methodology.");
+    let (frame, ns) = counts
         .iter()
         .max_by_key(|(_, c)| *c)
-        .unwrap_or_else(|| panic!("no frames sampled under methodology.* in {fits} fits"));
-    assert!(*count >= MIN_SAMPLES, "only {count} samples under methodology.* in {fits} fits");
+        .unwrap_or_else(|| panic!("no frames folded under methodology.*"));
+    assert!(*ns > 0, "no self time under methodology.*: {counts:?}");
     assert!(
         frame.starts_with("gl.bcd") || frame.starts_with("gl.fista"),
-        "hottest frame under methodology.* is {frame:?} ({count} samples): {counts:?}"
+        "hottest frame under methodology.* is {frame:?} ({ns} ns): {counts:?}"
     );
 }
 
