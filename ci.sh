@@ -57,9 +57,15 @@ cargo test -q --offline --locked --manifest-path voltbench/Cargo.toml
 echo "==> cargo bench --no-run --offline (bench targets must compile)"
 cargo bench --no-run --offline
 
-echo "==> fault-tolerance sweep smoke (small scale, fast bench config)"
-VOLTSENSE_SCALE=small TESTKIT_BENCH_FAST=1 \
+echo "==> fault-tolerance sweep smoke (small scale, fast bench config, output pinned)"
+# The sweep fits with a sensor count and runs the fault-tolerant monitor;
+# its report is deterministic, so it must match the committed record byte
+# for byte. It is written to a scratch dir so that record is never
+# overwritten.
+ft_dir="$(mktemp -d)"
+VOLTSENSE_SCALE=small TESTKIT_BENCH_FAST=1 TESTKIT_RESULTS_DIR="$ft_dir" \
     cargo run --release --offline -p voltsense-bench --bin fault_tolerance_sweep
+cmp "$ft_dir/bench_fault_tolerance.json" results/bench_fault_tolerance.json
 
 echo "==> parallel scaling smoke (bit-identity + machine-aware speedup gate)"
 # One rep per point keeps this fast; the binary hard-asserts bit-identity

@@ -15,7 +15,7 @@ use voltsense_bench::{rule, Experiment};
 fn main() {
     let _telemetry = voltsense::telemetry::init_from_env("ablation_refit");
     let exp = Experiment::from_env();
-    // Build the covariance form once; reuse it for every budget.
+    // Build the covariance form once; each budget is a cold selection on it.
     let prepared = SelectionProblem::new(&exp.train.x, &exp.train.f).expect("prepared problem");
 
     println!(
@@ -24,7 +24,10 @@ fn main() {
     );
     rule(64);
     for lambda in [5.0, 10.0, 20.0, 40.0] {
-        let selection = match prepared.select_constrained(lambda, 1e-3, &GlOptions::default()) {
+        let selection = match prepared
+            .homotopy(GlOptions::default())
+            .and_then(|mut sweep| sweep.select_constrained(lambda, 1e-3))
+        {
             Ok(s) => s,
             Err(e) => {
                 println!("{lambda:>8} selection failed: {e}");

@@ -7,8 +7,9 @@
 //!
 //! Run with: `cargo run --release -p voltsense-bench --bin fig1_beta_norms`
 
-use voltsense::core::SensorSelector;
+use voltsense::core::SelectionProblem;
 use voltsense::floorplan::CoreId;
+use voltsense::grouplasso::GlOptions;
 use voltsense_bench::{rule, Experiment};
 
 fn main() {
@@ -27,10 +28,14 @@ fn main() {
         sub.num_samples()
     );
 
+    // One covariance reduction; each λ is a cold selection of its own.
+    let prepared = SelectionProblem::new(&sub.x, &sub.f).expect("prepared problem");
     let mut per_lambda = Vec::new();
     for lambda in [10.0, 30.0] {
-        let selector = SensorSelector::new(lambda, 1e-3).expect("selector");
-        let result = selector.select(&sub.x, &sub.f).expect("selection");
+        let result = prepared
+            .homotopy(GlOptions::default())
+            .and_then(|mut sweep| sweep.select_constrained(lambda, 1e-3))
+            .expect("selection");
         println!(
             "λ = {lambda}: {} sensors selected (budget used {:.3}, μ = {:.3e})",
             result.num_selected(),

@@ -9,7 +9,7 @@
 //!    ([`voltsense_linalg::stats::Normalizer`]).
 //! 2. **Select sensors** by solving the constrained multi-task group lasso
 //!    `min ‖G − βZ‖_F s.t. Σ‖β_m‖₂ ≤ λ` and keeping candidates with
-//!    `‖β_m‖₂ > T` ([`SensorSelector`]).
+//!    `‖β_m‖₂ > T` ([`SelectionProblem`], [`SelectionHomotopy`]).
 //! 3. **Refit by OLS** on the selected sensors only, in the original volt
 //!    units, because the GL coefficients are biased by the budget
 //!    constraint ([`VoltageMapModel`]).
@@ -61,4 +61,4 @@ pub use monitor::{
 };
 pub use pipeline::{EvaluationReport, FittedMethodology, Methodology, MethodologyConfig};
 pub use predict::{CrossFamily, FaultTolerantModel, GlDirectModel, VoltageMapModel};
-pub use selection::{SelectionHomotopy, SelectionProblem, SelectionResult, SensorSelector};
+pub use selection::{SelectionHomotopy, SelectionProblem, SelectionResult};

@@ -5,7 +5,7 @@ use voltsense_telemetry as telemetry;
 use crate::detection::{self, DetectionOutcome};
 use crate::metrics;
 use crate::predict::{FaultTolerantModel, VoltageMapModel};
-use crate::selection::{SelectionResult, SensorSelector};
+use crate::selection::{SelectionHomotopy, SelectionProblem, SelectionResult};
 use crate::CoreError;
 
 /// Configuration of the full methodology (the paper's Step 0).
@@ -40,7 +40,8 @@ pub struct Methodology;
 
 impl Methodology {
     /// Runs Steps 1–8 on training data `x` (`M x N` candidate voltages)
-    /// and `f` (`K x N` critical-node voltages).
+    /// and `f` (`K x N` critical-node voltages): the one-budget case of
+    /// [`Methodology::fit_sweep`].
     ///
     /// # Errors
     ///
@@ -53,23 +54,8 @@ impl Methodology {
         f: &Matrix,
         config: &MethodologyConfig,
     ) -> Result<FittedMethodology, CoreError> {
-        check_emergency_threshold(config)?;
-        let _span = telemetry::span("methodology.fit");
-        // Steps 1–5: normalize + group lasso + threshold.
-        let selector = SensorSelector::with_options(
-            config.lambda,
-            config.threshold,
-            config.gl_options.clone(),
-        )?;
-        let selection = selector.select(x, f)?;
-        telemetry::gauge("methodology.sensors", selection.selected.len() as f64);
-        // Steps 6–8: OLS refit on the selected sensors, in volts.
-        let model = VoltageMapModel::fit(x, f, &selection.selected)?;
-        Ok(FittedMethodology {
-            selection,
-            model,
-            emergency_threshold: config.emergency_threshold,
-        })
+        let mut fitted = Self::fit_sweep(x, f, &[config.lambda], config)?;
+        Ok(fitted.remove(0))
     }
 
     /// Fits the pipeline with a *target sensor count* instead of a budget:
@@ -112,27 +98,9 @@ impl Methodology {
         lambdas: &[f64],
         config: &MethodologyConfig,
     ) -> Result<Vec<FittedMethodology>, CoreError> {
-        check_emergency_threshold(config)?;
-        if lambdas.is_empty() {
-            return Err(CoreError::InvalidConfig {
-                what: "fit_sweep needs at least one lambda".into(),
-            });
-        }
-        let _span = telemetry::span("methodology.fit_sweep");
-        let prepared = crate::selection::SelectionProblem::new(x, f)?;
-        let mut sweep = prepared.homotopy(config.gl_options.clone())?;
-        let mut fitted = Vec::with_capacity(lambdas.len());
-        for &lambda in lambdas {
-            let selection = sweep.select_constrained(lambda, config.threshold)?;
-            telemetry::gauge("methodology.sensors", selection.selected.len() as f64);
-            let model = VoltageMapModel::fit(x, f, &selection.selected)?;
-            fitted.push(FittedMethodology {
-                selection,
-                model,
-                emergency_threshold: config.emergency_threshold,
-            });
-        }
-        Ok(fitted)
+        fit_each(x, f, lambdas, config, |sweep, &lambda| {
+            sweep.select_constrained(lambda, config.threshold)
+        })
     }
 
     /// Fits the pipeline at every target sensor count in `qs` through one
@@ -151,28 +119,44 @@ impl Methodology {
         qs: &[usize],
         config: &MethodologyConfig,
     ) -> Result<Vec<FittedMethodology>, CoreError> {
-        check_emergency_threshold(config)?;
-        if qs.is_empty() {
-            return Err(CoreError::InvalidConfig {
-                what: "fit_with_sensor_count_sweep needs at least one target count".into(),
-            });
-        }
-        let _span = telemetry::span("methodology.fit_with_sensor_count_sweep");
-        let prepared = crate::selection::SelectionProblem::new(x, f)?;
-        let mut sweep = prepared.homotopy(config.gl_options.clone())?;
-        let mut fitted = Vec::with_capacity(qs.len());
-        for &q in qs {
-            let selection = sweep.select_with_count(q, config.threshold)?;
+        fit_each(x, f, qs, config, |sweep, &q| {
+            sweep.select_with_count(q, config.threshold)
+        })
+    }
+}
+
+/// The one per-target loop behind every fit: reduces `(x, f)` once, then
+/// for each target selects on one shared homotopy (Steps 1–5) and refits
+/// OLS on the selected sensors, in volts (Steps 6–8).
+fn fit_each<T>(
+    x: &Matrix,
+    f: &Matrix,
+    targets: &[T],
+    config: &MethodologyConfig,
+    mut select: impl FnMut(&mut SelectionHomotopy<'_>, &T) -> Result<SelectionResult, CoreError>,
+) -> Result<Vec<FittedMethodology>, CoreError> {
+    check_emergency_threshold(config)?;
+    if targets.is_empty() {
+        return Err(CoreError::InvalidConfig {
+            what: "a fit needs at least one budget or target sensor count".into(),
+        });
+    }
+    let _span = telemetry::span("methodology.fit");
+    let prepared = SelectionProblem::new(x, f)?;
+    let mut sweep = prepared.homotopy(config.gl_options.clone())?;
+    targets
+        .iter()
+        .map(|target| {
+            let selection = select(&mut sweep, target)?;
             telemetry::gauge("methodology.sensors", selection.selected.len() as f64);
             let model = VoltageMapModel::fit(x, f, &selection.selected)?;
-            fitted.push(FittedMethodology {
+            Ok(FittedMethodology {
                 selection,
                 model,
                 emergency_threshold: config.emergency_threshold,
-            });
-        }
-        Ok(fitted)
-    }
+            })
+        })
+        .collect()
 }
 
 /// The paper's 0.85 V test needs a finite, positive threshold.
@@ -451,6 +435,31 @@ mod tests {
         assert!(Methodology::fit(&x, &f, &cfg).is_err());
         let cfg = MethodologyConfig { lambda: 0.0, ..Default::default() };
         assert!(Methodology::fit(&x, &f, &cfg).is_err());
+    }
+
+    #[test]
+    fn bad_selection_threshold_rejected_on_every_fit_path() {
+        // A negative T would keep every candidate and a NaN T none, after
+        // a full bisection; every fit path rejects both before solving.
+        let (x, f) = training(60, 0.0);
+        for threshold in [-1e-3, f64::NAN] {
+            let cfg = MethodologyConfig {
+                threshold,
+                ..Default::default()
+            };
+            let by_count = Methodology::fit_with_sensor_count(&x, &f, 2, &cfg);
+            assert!(
+                matches!(by_count, Err(CoreError::InvalidConfig { .. })),
+                "T={threshold}: fit_with_sensor_count gave {:?}",
+                by_count.map(|m| m.sensors().to_vec())
+            );
+            let sweep = Methodology::fit_sweep(&x, &f, &[0.7, 10.0], &cfg);
+            assert!(
+                matches!(sweep, Err(CoreError::InvalidConfig { .. })),
+                "T={threshold}: fit_sweep gave {:?}",
+                sweep.map(|v| v.len())
+            );
+        }
     }
 
     #[test]

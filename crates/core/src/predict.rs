@@ -861,7 +861,8 @@ impl GlDirectModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SensorSelector;
+    use crate::SelectionProblem;
+    use voltsense_grouplasso::GlOptions;
     use voltsense_testkit::{choice, forall, u64_range, usize_range};
 
     /// f0 = 0.9·x0 + 0.05, f1 = 0.5·x0 + 0.5·x2 (noiseless).
@@ -1174,8 +1175,9 @@ mod tests {
         // under-reacts to droops compared with the OLS refit — exactly the
         // argument of the paper's Section 2.3 example.
         let (x, f) = training();
-        let selector = SensorSelector::new(0.8, 1e-3).unwrap();
-        let selection = selector.select(&x, &f).unwrap();
+        let prepared = SelectionProblem::new(&x, &f).unwrap();
+        let mut sweep = prepared.homotopy(GlOptions::default()).unwrap();
+        let selection = sweep.select_constrained(0.8, 1e-3).unwrap();
         let refit = VoltageMapModel::fit(&x, &f, &selection.selected).unwrap();
         let direct = GlDirectModel::from_selection(selection);
 
@@ -1193,10 +1195,9 @@ mod tests {
     #[test]
     fn gl_direct_prediction_shape_checked() {
         let (x, f) = training();
-        let selection = SensorSelector::new(0.8, 1e-3)
-            .unwrap()
-            .select(&x, &f)
-            .unwrap();
+        let prepared = SelectionProblem::new(&x, &f).unwrap();
+        let mut sweep = prepared.homotopy(GlOptions::default()).unwrap();
+        let selection = sweep.select_constrained(0.8, 1e-3).unwrap();
         let direct = GlDirectModel::from_selection(selection);
         assert!(direct.predict_from_candidates(&[1.0]).is_err());
     }

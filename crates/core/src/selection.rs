@@ -32,104 +32,13 @@ impl SelectionResult {
     }
 }
 
-/// Sensor selection via the constrained multi-task group lasso
-/// (paper Section 2.2).
-///
-/// # Example
-///
-/// ```
-/// use voltsense_linalg::Matrix;
-/// use voltsense_core::SensorSelector;
-///
-/// # fn main() -> Result<(), voltsense_core::CoreError> {
-/// let x = Matrix::from_rows(&[
-///     &[0.99, 0.84, 0.93, 0.88, 0.97, 0.86],
-///     &[0.96, 0.95, 0.97, 0.96, 0.95, 0.96],
-/// ])?;
-/// let f = Matrix::from_rows(&[&[0.98, 0.82, 0.91, 0.86, 0.96, 0.84]])?;
-/// let selector = SensorSelector::new(1.0, 1e-3)?;
-/// let result = selector.select(&x, &f)?;
-/// assert!(result.selected.contains(&0));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SensorSelector {
-    lambda: f64,
-    threshold: f64,
-    options: GlOptions,
-}
-
-impl SensorSelector {
-    /// Creates a selector with budget `lambda` (the paper's λ) and
-    /// selection threshold `threshold` (the paper's T, `1e-3` in its
-    /// experiments).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for non-positive λ or negative
-    /// T.
-    pub fn new(lambda: f64, threshold: f64) -> Result<Self, CoreError> {
-        Self::with_options(lambda, threshold, GlOptions::default())
-    }
-
-    /// As [`SensorSelector::new`] with custom solver options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for out-of-range parameters.
-    pub fn with_options(
-        lambda: f64,
-        threshold: f64,
-        options: GlOptions,
-    ) -> Result<Self, CoreError> {
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                what: format!("lambda must be finite and > 0, got {lambda}"),
-            });
-        }
-        if !threshold.is_finite() || threshold < 0.0 {
-            return Err(CoreError::InvalidConfig {
-                what: format!("threshold must be finite and >= 0, got {threshold}"),
-            });
-        }
-        Ok(SensorSelector {
-            lambda,
-            threshold,
-            options,
-        })
-    }
-
-    /// Budget λ.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Selection threshold T.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Runs Steps 3–5: normalize, solve the constrained GL, threshold the
-    /// group norms.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::ShapeMismatch`] if `x` and `f` disagree on samples.
-    /// * [`CoreError::NoSensorsSelected`] if no group norm exceeds T.
-    /// * Propagates solver failures.
-    pub fn select(&self, x: &Matrix, f: &Matrix) -> Result<SelectionResult, CoreError> {
-        let prepared = SelectionProblem::new(x, f)?;
-        prepared.select_constrained(self.lambda, self.threshold, &self.options)
-    }
-}
-
-/// A prepared selection problem: the normalized covariance form of
-/// `(X, F)`, built once and reusable across many budgets.
+/// A prepared sensor selection via the constrained multi-task group lasso
+/// (paper Section 2.2): the normalized covariance form of `(X, F)`, built
+/// once and reusable across many budgets.
 ///
 /// The covariance reduction (`O(M²N + KMN)`) dominates a single selection,
-/// so sweeps over λ or sensor counts should go through this type rather
-/// than calling [`SensorSelector::select`] repeatedly.
+/// so a sweep over λ or sensor counts builds one problem, and every
+/// selection runs on its [`SelectionProblem::homotopy`].
 ///
 /// # Example
 ///
@@ -145,7 +54,7 @@ impl SensorSelector {
 /// ])?;
 /// let f = Matrix::from_rows(&[&[0.98, 0.82, 0.91, 0.86, 0.96, 0.84]])?;
 /// let prepared = SelectionProblem::new(&x, &f)?;
-/// let one = prepared.select_with_count(1, 1e-3, &GlOptions::default())?;
+/// let one = prepared.homotopy(GlOptions::default())?.select_with_count(1, 1e-3)?;
 /// assert_eq!(one.num_selected(), 1);
 /// # Ok(())
 /// # }
@@ -209,43 +118,6 @@ impl SelectionProblem {
             prepared: self,
             solver,
         })
-    }
-
-    /// Selects sensors under a budget λ (Steps 4–5).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::NoSensorsSelected`] if nothing passes the threshold;
-    /// propagates solver failures.
-    pub fn select_constrained(
-        &self,
-        lambda: f64,
-        threshold: f64,
-        options: &GlOptions,
-    ) -> Result<SelectionResult, CoreError> {
-        self.homotopy(options.clone())?
-            .select_constrained(lambda, threshold)
-    }
-
-    /// Selects (approximately) `q` sensors by bisecting the penalty μ —
-    /// the count `Q(μ)` is monotone non-increasing, so this needs one
-    /// warm-started bisection rather than nested budget searches.
-    ///
-    /// Returns the closest achievable count if the selection path jumps
-    /// over `q`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] for `q` out of `1..=M`;
-    /// [`CoreError::NoSensorsSelected`] if even the loosest penalty
-    /// selects nothing; propagates solver failures.
-    pub fn select_with_count(
-        &self,
-        q: usize,
-        threshold: f64,
-        options: &GlOptions,
-    ) -> Result<SelectionResult, CoreError> {
-        self.homotopy(options.clone())?.select_with_count(q, threshold)
     }
 
     pub(crate) fn finish(
@@ -327,17 +199,26 @@ impl SelectionHomotopy<'_> {
         self.solver.num_solves()
     }
 
-    /// Selects sensors under a budget λ, warm-started from everything this
-    /// handle solved before.
+    /// Selects sensors under a budget λ (Steps 4–5), warm-started from
+    /// everything this handle solved before.
     ///
     /// # Errors
     ///
-    /// Same as [`SelectionProblem::select_constrained`].
+    /// * [`CoreError::InvalidConfig`] for a non-finite or non-positive λ
+    ///   or a non-finite or negative threshold T, before any solve.
+    /// * [`CoreError::NoSensorsSelected`] if nothing passes the threshold.
+    /// * Propagates solver failures.
     pub fn select_constrained(
         &mut self,
         lambda: f64,
         threshold: f64,
     ) -> Result<SelectionResult, CoreError> {
+        if !lambda.is_finite() || lambda <= 0.0 {
+            return Err(CoreError::InvalidConfig {
+                what: format!("lambda must be finite and > 0, got {lambda}"),
+            });
+        }
+        check_threshold(threshold)?;
         let solution = self.solver.solve_constrained(lambda)?;
         self.prepared.finish(
             solution.solution.beta,
@@ -350,15 +231,23 @@ impl SelectionHomotopy<'_> {
 
     /// Selects (approximately) `q` sensors by bisecting the penalty μ,
     /// sharing the warm chain with every other selection on this handle.
+    /// The count `Q(μ)` is monotone non-increasing, so this needs one
+    /// bisection rather than nested budget searches; it returns the
+    /// closest achievable count if the selection path jumps over `q`.
     ///
     /// # Errors
     ///
-    /// Same as [`SelectionProblem::select_with_count`].
+    /// * [`CoreError::InvalidConfig`] for `q` out of `1..=M` or a
+    ///   non-finite or negative threshold T, before any solve.
+    /// * [`CoreError::NoSensorsSelected`] if even the loosest penalty
+    ///   selects nothing.
+    /// * Propagates solver failures.
     pub fn select_with_count(
         &mut self,
         q: usize,
         threshold: f64,
     ) -> Result<SelectionResult, CoreError> {
+        check_threshold(threshold)?;
         let m_count = self.prepared.num_candidates();
         if q == 0 || q > m_count {
             return Err(CoreError::InvalidConfig {
@@ -413,6 +302,18 @@ impl SelectionHomotopy<'_> {
     }
 }
 
+/// The paper's T keeps candidates with `‖β_m‖₂ > T`: a negative T would
+/// keep every candidate and a NaN T none.
+fn check_threshold(threshold: f64) -> Result<(), CoreError> {
+    if threshold.is_finite() && threshold >= 0.0 {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidConfig {
+            what: format!("threshold must be finite and >= 0, got {threshold}"),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,11 +338,23 @@ mod tests {
         (x, f)
     }
 
+    /// One cold selection under budget `lambda`: a fresh homotopy over a
+    /// freshly prepared problem.
+    fn select(
+        x: &Matrix,
+        f: &Matrix,
+        lambda: f64,
+        threshold: f64,
+    ) -> Result<SelectionResult, CoreError> {
+        SelectionProblem::new(x, f)?
+            .homotopy(GlOptions::default())?
+            .select_constrained(lambda, threshold)
+    }
+
     #[test]
     fn selects_the_informative_candidates() {
         let (x, f) = training();
-        let sel = SensorSelector::new(1.5, 1e-3).unwrap();
-        let result = sel.select(&x, &f).unwrap();
+        let result = select(&x, &f, 1.5, 1e-3).unwrap();
         assert!(result.selected.contains(&0));
         assert!(result.selected.contains(&2));
     }
@@ -449,8 +362,7 @@ mod tests {
     #[test]
     fn group_norms_separate_selected_from_rest() {
         let (x, f) = training();
-        let sel = SensorSelector::new(1.5, 1e-3).unwrap();
-        let result = sel.select(&x, &f).unwrap();
+        let result = select(&x, &f, 1.5, 1e-3).unwrap();
         let min_selected = result
             .selected
             .iter()
@@ -467,22 +379,15 @@ mod tests {
     #[test]
     fn smaller_lambda_selects_fewer() {
         let (x, f) = training();
-        let small = SensorSelector::new(0.4, 1e-3)
-            .unwrap()
-            .select(&x, &f)
-            .unwrap();
-        let large = SensorSelector::new(3.0, 1e-3)
-            .unwrap()
-            .select(&x, &f)
-            .unwrap();
+        let small = select(&x, &f, 0.4, 1e-3).unwrap();
+        let large = select(&x, &f, 3.0, 1e-3).unwrap();
         assert!(small.num_selected() <= large.num_selected());
     }
 
     #[test]
     fn budget_respected() {
         let (x, f) = training();
-        let sel = SensorSelector::new(1.0, 1e-3).unwrap();
-        let result = sel.select(&x, &f).unwrap();
+        let result = select(&x, &f, 1.0, 1e-3).unwrap();
         assert!(result.budget_used <= 1.0 + 1e-6);
         assert!(result.mu > 0.0);
     }
@@ -490,27 +395,54 @@ mod tests {
     #[test]
     fn tiny_threshold_tolerated_huge_threshold_errors() {
         let (x, f) = training();
-        let ok = SensorSelector::new(1.0, 0.0).unwrap().select(&x, &f);
+        let ok = select(&x, &f, 1.0, 0.0);
         assert!(ok.is_ok());
-        let none = SensorSelector::new(1.0, 1e9).unwrap().select(&x, &f);
+        let none = select(&x, &f, 1.0, 1e9);
         assert!(matches!(none, Err(CoreError::NoSensorsSelected { .. })));
     }
 
     #[test]
     fn invalid_parameters_rejected() {
-        assert!(SensorSelector::new(0.0, 1e-3).is_err());
-        assert!(SensorSelector::new(-1.0, 1e-3).is_err());
-        assert!(SensorSelector::new(1.0, -1e-3).is_err());
-        assert!(SensorSelector::new(f64::NAN, 1e-3).is_err());
+        let (x, f) = training();
+        assert!(select(&x, &f, 0.0, 1e-3).is_err());
+        assert!(select(&x, &f, -1.0, 1e-3).is_err());
+        assert!(select(&x, &f, 1.0, -1e-3).is_err());
+        assert!(select(&x, &f, f64::NAN, 1e-3).is_err());
+    }
+
+    #[test]
+    fn bad_budget_or_threshold_rejected_before_any_solve() {
+        let (x, f) = training();
+        let prepared = SelectionProblem::new(&x, &f).unwrap();
+        let mut sweep = prepared.homotopy(GlOptions::default()).unwrap();
+        for lambda in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let r = sweep.select_constrained(lambda, 1e-3);
+            assert!(
+                matches!(r, Err(CoreError::InvalidConfig { .. })),
+                "λ={lambda}: {r:?}"
+            );
+        }
+        for threshold in [-1e-3, f64::NAN, f64::INFINITY] {
+            let r = sweep.select_constrained(1.0, threshold);
+            assert!(
+                matches!(r, Err(CoreError::InvalidConfig { .. })),
+                "T={threshold}: {r:?}"
+            );
+            let r = sweep.select_with_count(2, threshold);
+            assert!(
+                matches!(r, Err(CoreError::InvalidConfig { .. })),
+                "T={threshold}: {r:?}"
+            );
+        }
+        assert_eq!(sweep.num_solves(), 0);
     }
 
     #[test]
     fn sample_mismatch_rejected() {
         let (x, _) = training();
         let f_bad = Matrix::zeros(2, 3);
-        let sel = SensorSelector::new(1.0, 1e-3).unwrap();
         assert!(matches!(
-            sel.select(&x, &f_bad),
+            select(&x, &f_bad, 1.0, 1e-3),
             Err(CoreError::ShapeMismatch { .. })
         ));
     }

@@ -2,12 +2,9 @@
 //!
 //! Telemetry metric names are `&'static str`. Global fleet counters use
 //! literals; per-tenant names are interned once per `(tenant, metric)`
-//! via `Box::leak` behind a registry, so the leak is bounded by the
-//! number of distinct tenants actually seen — a deliberate, documented
-//! trade for zero-dependency static-name metrics.
-
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+//! via `Box::leak` behind telemetry's registry, so the leak is bounded
+//! by the number of distinct tenants actually seen — a deliberate,
+//! documented trade for zero-dependency static-name metrics.
 
 use voltsense_telemetry as telemetry;
 
@@ -64,16 +61,10 @@ pub const READING_TOTAL_NS: &str = "fleet.reading_total_ns";
 /// [`tenant_metric`] as `fleet.tenant.<id>.reading_total_ns`.
 pub const TENANT_READING_TOTAL_NS: &str = "reading_total_ns";
 
-static TENANT_NAMES: Mutex<BTreeMap<(u64, &'static str), &'static str>> =
-    Mutex::new(BTreeMap::new());
-
 /// The interned `fleet.tenant.<id>.<metric>` name for a per-tenant
-/// counter. Interns on first use; every later call is a map hit.
+/// counter ([`telemetry::tenant_metric`]).
 pub fn tenant_metric(tenant: u64, metric: &'static str) -> &'static str {
-    let mut names = TENANT_NAMES.lock().unwrap_or_else(|e| e.into_inner());
-    names
-        .entry((tenant, metric))
-        .or_insert_with(|| Box::leak(format!("fleet.tenant.{tenant}.{metric}").into_boxed_str()))
+    telemetry::tenant_metric("fleet.tenant", tenant, metric)
 }
 
 /// Bump a global counter and its per-tenant twin.

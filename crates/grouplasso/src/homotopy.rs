@@ -13,21 +13,45 @@
 //!   new λ starts from the tightest bracket any earlier solve established
 //!   instead of from `(0, μ_max)`.
 //!
-//! [`crate::solve_constrained`] and [`crate::penalty_path`] are thin
-//! wrappers that create a throwaway solver; the selection pipeline keeps
-//! one alive per core across its whole λ/Q sweep.
+//! A one-off solve is a fresh solver; the selection pipeline keeps one
+//! alive per core across its whole λ/Q sweep.
 
 use voltsense_linalg::Matrix;
 
 use crate::bcd::{solve_penalized, GlOptions, GlSolution};
-use crate::constrained::ConstrainedSolution;
-use crate::path::PathPoint;
 use crate::problem::GlProblem;
 use crate::GroupLassoError;
 
 /// Relative interval width (vs `μ_max`) below which a budget bisection has
 /// exhausted floating point and must stop.
 const COLLAPSE_REL: f64 = 1e-12;
+
+/// Result of a constrained solve.
+#[derive(Debug, Clone)]
+pub struct ConstrainedSolution {
+    /// The underlying penalized solution at the matched penalty.
+    pub solution: GlSolution,
+    /// The penalty `μ(λ)` found by bisection.
+    pub mu: f64,
+    /// The budget `Σ‖β_m‖₂` the solution actually consumes (≤ λ up to the
+    /// budget tolerance).
+    pub budget_used: f64,
+}
+
+/// One point on a penalty path.
+#[derive(Debug, Clone)]
+pub struct PathPoint {
+    /// The penalty this point was solved at.
+    pub mu: f64,
+    /// Per-candidate group norms `‖β_m‖₂`.
+    pub group_norms: Vec<f64>,
+    /// Budget `Σ‖β_m‖₂`.
+    pub budget: f64,
+    /// Number of candidates with group norm above `threshold`.
+    pub num_selected: usize,
+    /// Smooth data-fit part of the objective, `½‖G − βZ‖²`.
+    pub fit: f64,
+}
 
 /// A stateful warm-started solver for sweeping one problem across
 /// penalties and budgets.
@@ -144,6 +168,13 @@ impl<'a> HomotopySolver<'a> {
     /// Solves `min ‖G − βZ‖_F  s.t.  Σ‖β_m‖₂ ≤ λ` by monotone bisection
     /// on μ, reusing the warm chain and any bracket the probe history
     /// already establishes.
+    ///
+    /// The paper states its selection problem with this explicit budget
+    /// (Eq. 12). By Lagrangian duality the solution coincides with a
+    /// penalized solution for some `μ(λ) ≥ 0`, and the consumed budget
+    /// `Σ‖β_m(μ)‖₂` is monotone non-increasing in `μ`, so the bisection
+    /// keeps the paper's λ semantics (its Table 1 sweeps λ = 10…60) on the
+    /// fast BCD solver.
     ///
     /// The always-feasible zero solution at `μ_max` (budget 0 ≤ λ by
     /// construction) seeds the feasible incumbent, so the solve cannot
@@ -293,6 +324,24 @@ impl<'a> HomotopySolver<'a> {
     ///   contains a negative/non-finite value, or if `threshold` is
     ///   negative.
     /// * Propagates inner solver failures.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use voltsense_linalg::Matrix;
+    /// use voltsense_grouplasso::{GlProblem, GlOptions, HomotopySolver};
+    ///
+    /// # fn main() -> Result<(), voltsense_grouplasso::GroupLassoError> {
+    /// let z = Matrix::from_rows(&[&[1.0, -1.0, 0.5, -0.5]])?;
+    /// let g = Matrix::from_rows(&[&[0.9, -1.1, 0.4, -0.6]])?;
+    /// let p = GlProblem::from_data(&z, &g)?;
+    /// let mut h = HomotopySolver::new(&p, GlOptions::default())?;
+    /// let path = h.path(&[0.01, 0.1, 1.0], 1e-3)?;
+    /// // Sparsity is monotone along the path.
+    /// assert!(path[0].num_selected >= path[2].num_selected);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn path(
         &mut self,
         mus: &[f64],
@@ -349,7 +398,6 @@ impl<'a> HomotopySolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve_constrained;
 
     fn toy_problem() -> GlProblem {
         let z = Matrix::from_rows(&[
@@ -399,16 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_standalone_constrained_solver() {
-        let p = toy_problem();
-        let mut h = HomotopySolver::new(&p, GlOptions::default()).unwrap();
-        let a = h.solve_constrained(0.8).unwrap();
-        let b = solve_constrained(&p, 0.8, &GlOptions::default()).unwrap();
-        assert!((a.budget_used - b.budget_used).abs() < 1e-9);
-        assert!((a.mu - b.mu).abs() < 1e-12);
-    }
-
-    #[test]
     fn probe_bracket_tightens_with_history() {
         let p = toy_problem();
         let mu_max = p.mu_max();
@@ -439,5 +477,209 @@ mod tests {
             ..GlOptions::default()
         };
         assert!(HomotopySolver::new(&p, bad).is_err());
+    }
+
+    #[test]
+    fn budget_is_respected_and_nearly_tight() {
+        let p = toy_problem();
+        for &lambda in &[0.3, 0.8, 1.5] {
+            let sol = HomotopySolver::new(&p, GlOptions::default())
+                .unwrap()
+                .solve_constrained(lambda)
+                .unwrap();
+            assert!(
+                sol.budget_used <= lambda * (1.0 + 1e-9),
+                "λ={lambda}: budget {} exceeds",
+                sol.budget_used
+            );
+            // Active constraint: the solver should use almost all of it.
+            assert!(
+                sol.budget_used >= lambda * 0.995,
+                "λ={lambda}: budget {} too slack",
+                sol.budget_used
+            );
+        }
+    }
+
+    #[test]
+    fn large_budget_leaves_constraint_inactive() {
+        let p = toy_problem();
+        let opts = GlOptions::default();
+        let mut h = HomotopySolver::new(&p, opts.clone()).unwrap();
+        let sol = h.solve_constrained(1e6).unwrap();
+        // The budget-stagnation exit fires long before the bisection
+        // budget is exhausted: every midpoint is feasible and the budget
+        // stops moving once μ is small, so burning all `max_bisections`
+        // solves (the pre-fix behaviour) buys nothing.
+        assert!(
+            h.num_solves() < opts.max_bisections / 2,
+            "inactive constraint took {} of {} solves",
+            h.num_solves(),
+            opts.max_bisections
+        );
+        assert!(sol.budget_used < 1e6);
+        // μ has collapsed far enough that the fit is essentially the
+        // unpenalized one: resolving at μ → 0 cannot improve it much.
+        let loose = p.smooth_objective(&sol.solution.beta).unwrap();
+        let ols_sol = crate::solve_penalized(&p, 0.0, &opts, None).unwrap();
+        let ols = p.smooth_objective(&ols_sol.beta).unwrap();
+        assert!(
+            loose <= ols + 1e-3 * p.gg(),
+            "loose fit {loose} far from unpenalized fit {ols}"
+        );
+    }
+
+    #[test]
+    fn tiny_budget_returns_feasible_zero_instead_of_failing() {
+        // Regression: with λ tiny every sampled midpoint is infeasible, so
+        // the pre-fix bisection never populated its feasible incumbent and
+        // returned a spurious `DidNotConverge`. The μ_max zero solution is
+        // always feasible (budget 0 ≤ λ) and must be returned instead.
+        let p = toy_problem();
+        let opts = GlOptions {
+            max_bisections: 4,
+            ..GlOptions::default()
+        };
+        let sol = HomotopySolver::new(&p, opts)
+            .unwrap()
+            .solve_constrained(1e-12)
+            .expect("tiny budget must not fail");
+        assert!(sol.budget_used <= 1e-12);
+        assert!(sol.solution.converged);
+        assert_eq!(sol.solution.kkt_residual, 0.0);
+    }
+
+    #[test]
+    fn more_budget_activates_more_sensors() {
+        let p = toy_problem();
+        let small = HomotopySolver::new(&p, GlOptions::default())
+            .unwrap()
+            .solve_constrained(0.2)
+            .unwrap();
+        let large = HomotopySolver::new(&p, GlOptions::default())
+            .unwrap()
+            .solve_constrained(2.0)
+            .unwrap();
+        let q_small = small.solution.selected(1e-8).len();
+        let q_large = large.solution.selected(1e-8).len();
+        assert!(q_small <= q_large, "{q_small} > {q_large}");
+        assert!(q_small >= 1);
+    }
+
+    #[test]
+    fn objective_improves_with_budget() {
+        let p = toy_problem();
+        let small = HomotopySolver::new(&p, GlOptions::default())
+            .unwrap()
+            .solve_constrained(0.2)
+            .unwrap();
+        let large = HomotopySolver::new(&p, GlOptions::default())
+            .unwrap()
+            .solve_constrained(1.5)
+            .unwrap();
+        let fit_small = p.smooth_objective(&small.solution.beta).unwrap();
+        let fit_large = p.smooth_objective(&large.solution.beta).unwrap();
+        assert!(fit_large <= fit_small + 1e-10);
+    }
+
+    #[test]
+    fn invalid_lambda_rejected() {
+        let p = toy_problem();
+        let mut h = HomotopySolver::new(&p, GlOptions::default()).unwrap();
+        assert!(h.solve_constrained(0.0).is_err());
+        assert!(h.solve_constrained(-1.0).is_err());
+        assert!(h.solve_constrained(f64::NAN).is_err());
+    }
+
+    #[test]
+    fn zero_signal_problem_returns_zero() {
+        // G uncorrelated with Z in expectation — here exactly zero Q.
+        let z = Matrix::from_rows(&[&[1.0, -1.0, 1.0, -1.0]]).unwrap();
+        let g = Matrix::from_rows(&[&[1.0, 1.0, -1.0, -1.0]]).unwrap();
+        let p = GlProblem::from_data(&z, &g).unwrap();
+        assert_eq!(p.mu_max(), 0.0);
+        let sol = HomotopySolver::new(&p, GlOptions::default())
+            .unwrap()
+            .solve_constrained(1.0)
+            .unwrap();
+        assert!(sol.solution.beta.max_abs() < 1e-12);
+    }
+
+    #[test]
+    fn path_is_monotone_in_budget_and_selection() {
+        let p = toy_problem();
+        let mus = [0.01, 0.1, 0.5, 1.5, 4.0];
+        let path = HomotopySolver::new(&p, GlOptions::default())
+            .unwrap()
+            .path(&mus, 1e-8)
+            .unwrap();
+        for w in path.windows(2) {
+            assert!(w[0].budget >= w[1].budget - 1e-9);
+            assert!(w[0].num_selected >= w[1].num_selected);
+            assert!(w[0].fit <= w[1].fit + 1e-9);
+        }
+    }
+
+    #[test]
+    fn results_follow_caller_order() {
+        let p = toy_problem();
+        let mus = [1.0, 0.05, 0.4];
+        let path = HomotopySolver::new(&p, GlOptions::default())
+            .unwrap()
+            .path(&mus, 1e-8)
+            .unwrap();
+        assert_eq!(path.len(), 3);
+        for (pt, &mu) in path.iter().zip(&mus) {
+            assert_eq!(pt.mu, mu);
+        }
+    }
+
+    #[test]
+    fn path_matches_cold_solves() {
+        let p = toy_problem();
+        let mus = [0.2, 0.8];
+        let path = HomotopySolver::new(&p, GlOptions::default())
+            .unwrap()
+            .path(&mus, 1e-8)
+            .unwrap();
+        for (pt, &mu) in path.iter().zip(&mus) {
+            let cold = solve_penalized(&p, mu, &GlOptions::default(), None).unwrap();
+            let cold_budget = cold.budget();
+            assert!(
+                (pt.budget - cold_budget).abs() < 1e-6,
+                "mu={mu}: warm {} vs cold {cold_budget}",
+                pt.budget
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_penalties_solved_once() {
+        let p = toy_problem();
+        let mus = [0.1, 0.1, 1.0];
+        let path = HomotopySolver::new(&p, GlOptions::default())
+            .unwrap()
+            .path(&mus, 1e-8)
+            .unwrap();
+        assert_eq!(path.len(), 3);
+        for (pt, &mu) in path.iter().zip(&mus) {
+            assert_eq!(pt.mu, mu);
+        }
+        // The duplicated points are literally the same solve's numbers.
+        assert_eq!(path[0].group_norms, path[1].group_norms);
+        assert_eq!(path[0].fit, path[1].fit);
+        // And the dedup really skips the second solve.
+        let mut h = HomotopySolver::new(&p, GlOptions::default()).unwrap();
+        h.path(&mus, 1e-8).unwrap();
+        assert_eq!(h.num_solves(), 2, "three points must come from two solves");
+    }
+
+    #[test]
+    fn bad_inputs_rejected() {
+        let p = toy_problem();
+        let mut h = HomotopySolver::new(&p, GlOptions::default()).unwrap();
+        assert!(h.path(&[], 1e-3).is_err());
+        assert!(h.path(&[-0.1], 1e-3).is_err());
+        assert!(h.path(&[0.1], -1.0).is_err());
     }
 }

@@ -19,16 +19,16 @@
 //! by block coordinate descent ([`solve_penalized`]) — each column update
 //! has the closed form `β_m = soft(c_m, μ) / S_mm` — and recovers the
 //! constrained solution by a monotone bisection on `μ`
-//! ([`solve_constrained`]), so `λ` keeps the paper's budget semantics.
-//! A FISTA proximal-gradient solver ([`solve_penalized_fista`]) provides an
-//! independent cross-check, and [`kkt_violation`] verifies optimality of
-//! any solution.
+//! ([`HomotopySolver::solve_constrained`]), so `λ` keeps the paper's
+//! budget semantics. A FISTA proximal-gradient solver
+//! ([`solve_penalized_fista`]) provides an independent cross-check, and
+//! [`kkt_violation`] verifies optimality of any solution.
 //!
-//! Sweeps over many penalties or budgets — the shape of every experiment
-//! in the paper — should go through [`HomotopySolver`]: it chains warm
-//! starts and recorded (μ, budget) probes across solves, so each sweep
-//! point and each bisection step starts from the previous solution and
-//! the tightest bracket the history supports. The BCD inner loop also
+//! Budget and penalty sweeps — the shape of every experiment in the
+//! paper — run on one [`HomotopySolver`]: it chains warm starts and
+//! recorded (μ, budget) probes across solves, so each sweep point and
+//! each bisection step starts from the previous solution and the
+//! tightest bracket the history supports. The BCD inner loop also
 //! prunes to the active set between periodic full passes
 //! ([`GlOptions::full_pass_interval`]), which is where most of the
 //! sweep-level speedup comes from on correlated problems.
@@ -42,7 +42,7 @@
 //!
 //! ```
 //! use voltsense_linalg::Matrix;
-//! use voltsense_grouplasso::{GlProblem, solve_constrained, GlOptions};
+//! use voltsense_grouplasso::{GlOptions, GlProblem, HomotopySolver};
 //!
 //! # fn main() -> Result<(), voltsense_grouplasso::GroupLassoError> {
 //! // Two candidates; the target depends only on the first.
@@ -52,7 +52,8 @@
 //! ])?;
 //! let g = Matrix::from_rows(&[&[1.0, -1.0, 0.5, -0.5, 1.5, -1.5]])?;
 //! let problem = GlProblem::from_data(&z, &g)?;
-//! let sol = solve_constrained(&problem, 0.9, &GlOptions::default())?;
+//! let mut solver = HomotopySolver::new(&problem, GlOptions::default())?;
+//! let sol = solver.solve_constrained(0.9)?;
 //! let norms = sol.solution.group_norms();
 //! assert!(norms[0] > 0.5 && norms[1] < 1e-6);
 //! # Ok(())
@@ -63,23 +64,19 @@
 #![warn(missing_docs)]
 
 mod bcd;
-mod constrained;
 mod cv;
 mod error;
 mod fista;
 mod homotopy;
 mod kkt;
-mod path;
 mod problem;
 
 pub use bcd::{solve_penalized, GlOptions, GlSolution};
 #[doc(hidden)]
 pub use bcd::sweep_groups;
-pub use constrained::{solve_constrained, ConstrainedSolution};
 pub use cv::{cross_validate, CvResult};
 pub use error::GroupLassoError;
 pub use fista::solve_penalized_fista;
-pub use homotopy::HomotopySolver;
+pub use homotopy::{ConstrainedSolution, HomotopySolver, PathPoint};
 pub use kkt::kkt_violation;
-pub use path::{penalty_path, PathPoint};
 pub use problem::GlProblem;

@@ -2,8 +2,7 @@
 //! deterministic seeded cases per property, greedy shrinking).
 
 use voltsense_grouplasso::{
-    kkt_violation, solve_constrained, solve_penalized, solve_penalized_fista, GlOptions,
-    GlProblem, HomotopySolver,
+    kkt_violation, solve_penalized, solve_penalized_fista, GlOptions, GlProblem, HomotopySolver,
 };
 use voltsense_linalg::Matrix;
 use voltsense_testkit::{f64_range, forall, usize_range, vec_f64};
@@ -95,7 +94,7 @@ fn constrained_budget_feasible() {
                          n in usize_range(8, 16), zdata in vec_f64(200, -1.0, 1.0),
                          mix in vec_f64(40, -0.5, 0.5), lam in f64_range(0.05, 2.0)) => {
         let p = problem(m, k, n, &zdata, &mix);
-        let sol = solve_constrained(&p, lam, &options()).unwrap();
+        let sol = HomotopySolver::new(&p, options()).unwrap().solve_constrained(lam).unwrap();
         assert!(sol.budget_used <= lam * (1.0 + 1e-6));
     });
 }
@@ -227,13 +226,14 @@ fn homotopy_constrained_matches_cold_bisection() {
                          mix in vec_f64(40, -0.5, 0.5), lam in f64_range(0.05, 2.0)) => {
         let p = problem(m, k, n, &zdata, &mix);
         // A shared chain solving two budgets must stay feasible and agree
-        // with the standalone (throwaway-solver) wrapper.
+        // with a fresh solver's cold bisection.
         let mut h = HomotopySolver::new(&p, options()).unwrap();
         let first = h.solve_constrained(lam * 1.5).unwrap();
         let second = h.solve_constrained(lam).unwrap();
         assert!(first.budget_used <= lam * 1.5 * (1.0 + 1e-6));
         assert!(second.budget_used <= lam * (1.0 + 1e-6));
-        let standalone = solve_constrained(&p, lam, &options()).unwrap();
+        let mut cold = HomotopySolver::new(&p, options()).unwrap();
+        let standalone = cold.solve_constrained(lam).unwrap();
         // Same budget up to twice the bisection's own budget tolerance.
         let tol = 2.0 * options().budget_tolerance * lam + 1e-9;
         assert!(

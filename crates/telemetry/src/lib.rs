@@ -46,9 +46,10 @@ pub use histogram::Histogram;
 pub use recorder::{Detail, MemoryRecorder, Recorder, SpanId};
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 static GLOBAL: OnceLock<Arc<dyn Recorder>> = OnceLock::new();
 static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
@@ -174,6 +175,20 @@ pub fn gauge(name: &'static str, value: f64) {
     if let Some(recorder) = current_recorder() {
         recorder.gauge_set(name, value);
     }
+}
+
+/// The interned `<prefix>.<tenant>.<metric>` name of a per-tenant metric.
+///
+/// Metric names are `&'static str` but tenant ids are dynamic. The set of
+/// (prefix, tenant, metric) triples is small and long-lived, so each name
+/// is leaked once, on first use, and every later call is a map hit.
+pub fn tenant_metric(prefix: &'static str, tenant: u64, metric: &'static str) -> &'static str {
+    type Key = (&'static str, u64, &'static str);
+    static NAMES: Mutex<BTreeMap<Key, &'static str>> = Mutex::new(BTreeMap::new());
+    let mut names = NAMES.lock().unwrap_or_else(|e| e.into_inner());
+    names
+        .entry((prefix, tenant, metric))
+        .or_insert_with(|| Box::leak(format!("{prefix}.{tenant}.{metric}").into_boxed_str()))
 }
 
 /// Record `value` into the histogram `name`. Free when telemetry is disabled.

@@ -358,17 +358,12 @@ impl SloTracker {
         let tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
         for (tenant, t) in tenants.iter() {
             let burn = burn_of(t, now_ns, &self.cfg);
-            crate::gauge(slo_metric(*tenant, "latency_burn_5m"), burn.latency_short);
-            crate::gauge(slo_metric(*tenant, "latency_burn_1h"), burn.latency_long);
-            crate::gauge(
-                slo_metric(*tenant, "availability_burn_5m"),
-                burn.availability_short,
-            );
-            crate::gauge(
-                slo_metric(*tenant, "availability_burn_1h"),
-                burn.availability_long,
-            );
-            crate::gauge(slo_metric(*tenant, "paging"), if t.paging { 1.0 } else { 0.0 });
+            let name = |metric| crate::tenant_metric("fleet.slo.tenant", *tenant, metric);
+            crate::gauge(name("latency_burn_5m"), burn.latency_short);
+            crate::gauge(name("latency_burn_1h"), burn.latency_long);
+            crate::gauge(name("availability_burn_5m"), burn.availability_short);
+            crate::gauge(name("availability_burn_1h"), burn.availability_long);
+            crate::gauge(name("paging"), if t.paging { 1.0 } else { 0.0 });
         }
     }
 
@@ -424,19 +419,6 @@ fn burn_of(t: &TenantSlo, now_ns: u64, cfg: &SloConfig) -> SloBurn {
         availability_long,
         paging: t.paging,
     }
-}
-
-/// Interned `fleet.slo.tenant.<id>.<metric>` names: the [`crate::Recorder`]
-/// trait takes `&'static str`, tenant IDs are dynamic, and the set of
-/// (tenant, metric) pairs is small and long-lived, so leaking each name
-/// once is the right trade (same pattern as the fleet crate's per-tenant
-/// metrics).
-fn slo_metric(tenant: u64, metric: &'static str) -> &'static str {
-    static NAMES: Mutex<BTreeMap<(u64, &'static str), &'static str>> = Mutex::new(BTreeMap::new());
-    let mut names = NAMES.lock().unwrap_or_else(|e| e.into_inner());
-    names
-        .entry((tenant, metric))
-        .or_insert_with(|| Box::leak(format!("fleet.slo.tenant.{tenant}.{metric}").into_boxed_str()))
 }
 
 /// The `voltsense-slo-v1` document of an empty tracker; what `/slo`

@@ -141,7 +141,8 @@ pub struct PerCoreModel {
 }
 
 impl PerCoreModel {
-    /// Fits one methodology per core on the given dataset.
+    /// Fits one methodology per core on the given dataset: the one-budget
+    /// case of [`PerCoreModel::fit_sweep`].
     ///
     /// # Errors
     ///
@@ -152,31 +153,8 @@ impl PerCoreModel {
         partition: &CorePartition,
         config: &MethodologyConfig,
     ) -> Result<Self, ScenarioError> {
-        let mut fits = Vec::with_capacity(partition.num_cores());
-        for c in 0..partition.num_cores() {
-            let core = CoreId(c);
-            let candidate_rows = partition.candidates_of(core).to_vec();
-            let block_rows = partition.blocks_of(core).to_vec();
-            let sub = data.restrict(&candidate_rows, &block_rows);
-            let fitted = Methodology::fit(&sub.x, &sub.f, config).map_err(|e| {
-                ScenarioError::Inconsistent {
-                    what: format!("fit failed for core {c}: {e}"),
-                }
-            })?;
-            fits.push(PerCoreFit {
-                core,
-                fitted,
-                candidate_rows,
-                block_rows,
-            });
-        }
-        let global_model = Self::global_refit(data, &fits)?;
-        Ok(PerCoreModel {
-            fits,
-            global_model,
-            num_candidates: data.num_candidates(),
-            emergency_threshold: config.emergency_threshold,
-        })
+        let mut models = Self::fit_sweep(data, partition, &[config.lambda], config)?;
+        Ok(models.remove(0))
     }
 
     /// Fits one methodology per core with a *target sensor count per
@@ -206,34 +184,17 @@ impl PerCoreModel {
     ///
     /// # Errors
     ///
-    /// Propagates per-core fit failures (with the failing core named) and
-    /// rejects an empty `lambdas`.
+    /// Propagates per-core fit failures (with the failing core named),
+    /// including the rejection of an empty `lambdas`.
     pub fn fit_sweep(
         data: &ScenarioData,
         partition: &CorePartition,
         lambdas: &[f64],
         config: &MethodologyConfig,
     ) -> Result<Vec<Self>, ScenarioError> {
-        if lambdas.is_empty() {
-            return Err(ScenarioError::Inconsistent {
-                what: "fit_sweep needs at least one lambda".into(),
-            });
-        }
-        // One warm chain per core, producing that core's whole λ column.
-        let mut per_core: Vec<Vec<FittedMethodology>> =
-            Vec::with_capacity(partition.num_cores());
-        for c in 0..partition.num_cores() {
-            let core = CoreId(c);
-            let sub = data.restrict(partition.candidates_of(core), partition.blocks_of(core));
-            let fitted =
-                Methodology::fit_sweep(&sub.x, &sub.f, lambdas, config).map_err(|e| {
-                    ScenarioError::Inconsistent {
-                        what: format!("fit failed for core {c}: {e}"),
-                    }
-                })?;
-            per_core.push(fitted);
-        }
-        Self::bucket_sweep(data, partition, config, per_core, lambdas.len())
+        Self::fit_each_core(data, partition, config, lambdas.len(), |sub| {
+            Methodology::fit_sweep(&sub.x, &sub.f, lambdas, config)
+        })
     }
 
     /// Fits one model per target sensor count in `qs` ("2 sensors per
@@ -243,30 +204,39 @@ impl PerCoreModel {
     ///
     /// # Errors
     ///
-    /// Propagates per-core fit failures and rejects an empty `qs`.
+    /// Propagates per-core fit failures, including the rejection of an
+    /// empty `qs`.
     pub fn fit_with_sensor_count_sweep(
         data: &ScenarioData,
         partition: &CorePartition,
         qs: &[usize],
         config: &MethodologyConfig,
     ) -> Result<Vec<Self>, ScenarioError> {
-        if qs.is_empty() {
-            return Err(ScenarioError::Inconsistent {
-                what: "fit_with_sensor_count_sweep needs at least one target count".into(),
-            });
-        }
-        let mut per_core: Vec<Vec<FittedMethodology>> =
-            Vec::with_capacity(partition.num_cores());
+        Self::fit_each_core(data, partition, config, qs.len(), |sub| {
+            Methodology::fit_with_sensor_count_sweep(&sub.x, &sub.f, qs, config)
+        })
+    }
+
+    /// The one per-core loop behind every fit: `fit_core` produces a
+    /// core's whole sweep column on one warm chain, and the columns are
+    /// regrouped into one model per sweep point.
+    fn fit_each_core(
+        data: &ScenarioData,
+        partition: &CorePartition,
+        config: &MethodologyConfig,
+        num_points: usize,
+        fit_core: impl Fn(&ScenarioData) -> Result<Vec<FittedMethodology>, CoreError>,
+    ) -> Result<Vec<Self>, ScenarioError> {
+        let mut per_core: Vec<Vec<FittedMethodology>> = Vec::with_capacity(partition.num_cores());
         for c in 0..partition.num_cores() {
             let core = CoreId(c);
             let sub = data.restrict(partition.candidates_of(core), partition.blocks_of(core));
-            let fitted = Methodology::fit_with_sensor_count_sweep(&sub.x, &sub.f, qs, config)
-                .map_err(|e| ScenarioError::Inconsistent {
-                    what: format!("fit failed for core {c}: {e}"),
-                })?;
+            let fitted = fit_core(&sub).map_err(|e| ScenarioError::Inconsistent {
+                what: format!("fit failed for core {c}: {e}"),
+            })?;
             per_core.push(fitted);
         }
-        Self::bucket_sweep(data, partition, config, per_core, qs.len())
+        Self::bucket_sweep(data, partition, config, per_core, num_points)
     }
 
     /// Regroups per-core sweep columns (`per_core[core][point]`) into one

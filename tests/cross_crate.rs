@@ -2,7 +2,7 @@
 //! on real (simulated) data, not just on toy matrices.
 
 use voltsense::core::{
-    EmergencyMonitor, FaultPolicy, FaultTolerantModel, SensorSelector, VoltageMapModel,
+    EmergencyMonitor, FaultPolicy, FaultTolerantModel, SelectionProblem, VoltageMapModel,
 };
 use voltsense::faults::{FaultEvent, FaultInjector, FaultKind, FaultSchedule};
 use voltsense::grouplasso::{
@@ -110,29 +110,24 @@ fn selection_is_stable_across_solver_tolerances() {
     let rows: Vec<usize> = (0..x.rows()).step_by(5).collect();
     let x = x.select_rows(&rows);
 
-    let loose = SensorSelector::with_options(
-        5.0,
-        1e-3,
-        GlOptions {
+    let prepared = SelectionProblem::new(&x, &f).unwrap();
+    let loose = prepared
+        .homotopy(GlOptions {
             tolerance: 1e-4,
             ..GlOptions::default()
-        },
-    )
-    .unwrap()
-    .select(&x, &f)
-    .unwrap();
-    let tight = SensorSelector::with_options(
-        5.0,
-        1e-3,
-        GlOptions {
+        })
+        .unwrap()
+        .select_constrained(5.0, 1e-3)
+        .unwrap();
+    let tight = prepared
+        .homotopy(GlOptions {
             tolerance: 1e-6,
             max_sweeps: 20_000,
             ..GlOptions::default()
-        },
-    )
-    .unwrap()
-    .select(&x, &f)
-    .unwrap();
+        })
+        .unwrap()
+        .select_constrained(5.0, 1e-3)
+        .unwrap();
     let loose_set: std::collections::BTreeSet<usize> = loose.selected.iter().copied().collect();
     let tight_set: std::collections::BTreeSet<usize> = tight.selected.iter().copied().collect();
     let overlap = loose_set.intersection(&tight_set).count() as f64;
@@ -218,8 +213,9 @@ fn injected_fault_is_survived_on_simulated_voltages() {
 #[test]
 fn normalization_round_trips_through_selection() {
     let (x, f) = scenario_data();
-    let selector = SensorSelector::new(5.0, 1e-3).unwrap();
-    let result = selector.select(&x, &f).unwrap();
+    let prepared = SelectionProblem::new(&x, &f).unwrap();
+    let mut sweep = prepared.homotopy(GlOptions::default()).unwrap();
+    let result = sweep.select_constrained(5.0, 1e-3).unwrap();
     // The stored normalizers must reproduce X and F exactly.
     let z = result.x_normalizer.apply(&x).unwrap();
     let back = result.x_normalizer.invert(&z).unwrap();

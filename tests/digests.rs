@@ -1,11 +1,15 @@
-//! Golden digests of the simulated voltage maps.
+//! Golden digests of the simulated voltage maps and of the sensor
+//! selection made from them.
 //!
 //! The transient step may be restructured for speed, but never change a
 //! bit of what it computes: these digests were recorded before the solve
-//! moved to factor-order panels and must stay fixed. Each is FNV-1a over
-//! the little-endian bytes of the values, in order.
+//! moved to factor-order panels and must stay fixed. The selection digest
+//! was recorded before the one-shot selection wrappers were folded into
+//! the homotopy path, which must reach the same decisions bit for bit.
+//! Each is FNV-1a over the little-endian bytes of the values, in order.
 
-use voltsense::scenario::Scenario;
+use voltsense::core::MethodologyConfig;
+use voltsense::scenario::{CorePartition, PerCoreModel, Scenario};
 
 /// FNV-1a over little-endian 8-byte words.
 #[derive(Default)]
@@ -34,6 +38,34 @@ fn small_scenario_bm1_maps_are_unchanged() {
     let mut h = Fnv::default();
     h.floats(maps.maps().as_slice());
     assert_eq!(h.0, Some(0x0905_aa2e_9905_d4e8));
+}
+
+/// Per-core selections (sensors, μ, budget, group norms) and the global
+/// refit's sensors of a λ sweep and a sensor-count sweep on BM1 and BM4
+/// (λ = 6 and 10 keep it near 30 s in a debug build; λ = 20 alone takes a
+/// minute).
+#[test]
+fn small_scenario_selection_is_unchanged() {
+    let scenario = Scenario::small().unwrap();
+    let (train, _test) = scenario.collect(&[0, 3]).unwrap().split(3);
+    let partition = CorePartition::from_chip(scenario.chip());
+    let cfg = MethodologyConfig::default();
+    let mut models = PerCoreModel::fit_sweep(&train, &partition, &[6.0, 10.0], &cfg).unwrap();
+    models.extend(
+        PerCoreModel::fit_with_sensor_count_sweep(&train, &partition, &[2, 4], &cfg).unwrap(),
+    );
+    let mut h = Fnv::default();
+    for model in &models {
+        for fit in model.fits() {
+            let selection = fit.fitted.selection();
+            h.words(selection.selected.iter().map(|&m| m as u64));
+            h.floats(&[selection.mu, selection.budget_used]);
+            h.floats(&selection.group_norms);
+        }
+        let sensors = model.global_model().sensor_indices();
+        h.words(sensors.iter().map(|&m| m as u64));
+    }
+    assert_eq!(h.0, Some(0x2674_cfe4_412b_a864));
 }
 
 /// X, F, the benchmark of each sample, and the candidate and critical

@@ -130,6 +130,28 @@ fn per_core_sweep_matches_individual_fits() {
 }
 
 #[test]
+fn per_core_count_fit_rejects_a_bad_threshold() {
+    // A negative T would place every candidate and a NaN T none, after a
+    // full bisection per core; the count path rejects both up front.
+    let s = scenario();
+    let data = s.collect(&[0]).expect("simulation succeeds");
+    let partition = CorePartition::from_chip(s.chip());
+    for threshold in [-1e-3, f64::NAN] {
+        let cfg = MethodologyConfig {
+            threshold,
+            ..MethodologyConfig::default()
+        };
+        match PerCoreModel::fit_with_sensor_count(&data, &partition, 2, &cfg) {
+            Ok(model) => panic!("T={threshold}: placed {} sensors", model.total_sensors()),
+            Err(e) => assert!(
+                e.to_string().contains("invalid configuration"),
+                "T={threshold}: {e}"
+            ),
+        }
+    }
+}
+
+#[test]
 fn critical_nodes_live_inside_their_blocks() {
     let s = scenario();
     let data = s.collect(&[1]).expect("simulation succeeds");

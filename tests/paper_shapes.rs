@@ -2,9 +2,10 @@
 //! numbers depend on the synthetic substrate, but the *relationships* the
 //! paper reports must hold.
 
-use voltsense::core::{Methodology, MethodologyConfig, SensorSelector};
+use voltsense::core::{Methodology, MethodologyConfig, SelectionProblem};
 use voltsense::eagleeye::{EagleEyeConfig, EagleEyePlacement};
 use voltsense::core::detection;
+use voltsense::grouplasso::GlOptions;
 use voltsense::scenario::{Scenario, ScenarioData};
 
 fn collect() -> (Scenario, ScenarioData) {
@@ -52,8 +53,9 @@ fn lambda_sweep_monotonicity() {
 #[test]
 fn group_norms_bimodal_separation() {
     let (_, data) = collect();
-    let selector = SensorSelector::new(8.0, 1e-3).expect("selector");
-    let result = selector.select(&data.x, &data.f).expect("selection");
+    let prepared = SelectionProblem::new(&data.x, &data.f).expect("prepared problem");
+    let mut sweep = prepared.homotopy(GlOptions::default()).expect("homotopy");
+    let result = sweep.select_constrained(8.0, 1e-3).expect("selection");
     let mut selected_min = f64::INFINITY;
     let mut unselected_max = 0.0_f64;
     for (m, &norm) in result.group_norms.iter().enumerate() {
