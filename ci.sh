@@ -57,6 +57,15 @@ cargo test -q --offline --locked --manifest-path voltbench/Cargo.toml
 echo "==> cargo bench --no-run --offline (bench targets must compile)"
 cargo bench --no-run --offline
 
+echo "==> examples (release; every example must exit 0)"
+# Incident files and result reports go to a scratch dir, not results/.
+ex_dir="$(mktemp -d)"
+for example in quickstart emergency_monitor sensor_budget_exploration \
+        sensor_diagnostics voltage_map_viewer; do
+    VOLTSENSE_INCIDENT_DIR="$ex_dir/incidents" TESTKIT_RESULTS_DIR="$ex_dir" \
+        cargo run --release --offline -q -p voltsense --example "$example" >/dev/null
+done
+
 echo "==> fault-tolerance sweep smoke (small scale, fast bench config, output pinned)"
 # The sweep fits with a sensor count and runs the fault-tolerant monitor;
 # its report is deterministic, so it must match the committed record byte

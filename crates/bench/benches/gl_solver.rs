@@ -1,10 +1,8 @@
-//! Bench: group-lasso solver scaling (BCD vs FISTA) in the candidate count
-//! M — the design-time cost of the methodology. Testkit timer, JSON report
-//! in `results/bench_gl_solver.json`.
+//! Bench: BCD group-lasso solver scaling in the candidate count M — the
+//! design-time cost of the methodology. Testkit timer, JSON report in
+//! `results/bench_gl_solver.json`.
 
-use voltsense::grouplasso::{
-    solve_penalized, solve_penalized_fista, GlOptions, GlProblem, HomotopySolver,
-};
+use voltsense::grouplasso::{solve_penalized, GlOptions, GlProblem, HomotopySolver};
 use voltsense::linalg::Matrix;
 use voltsense::workload::GaussianRng;
 use voltsense_testkit::bench::BenchTimer;
@@ -69,9 +67,6 @@ fn main() {
         let opts = GlOptions::default();
         timer.bench(&format!("bcd/{m}"), || {
             solve_penalized(&p, mu, &opts, None).expect("solve")
-        });
-        timer.bench(&format!("fista/{m}"), || {
-            solve_penalized_fista(&p, mu, &opts, None).expect("solve")
         });
     }
 

@@ -1,11 +1,9 @@
 //! Parallel-scaling bench: wall-clock speedup versus thread count for the
-//! four workloads the data-parallel runtime targets —
+//! three workloads the data-parallel runtime targets —
 //!
 //! * **matmul** — the blocked row-partitioned dense kernel;
-//! * **gram** — the triangle-partitioned `Z Zᵀ` reduction;
-//! * **gl_solve** — a FISTA group-lasso solve at the placement problem
-//!   size (M=200 candidates, K=30 targets, N=1000 samples), dominated by
-//!   the per-iteration `β·S` matmul;
+//! * **gram** — the triangle-partitioned `Z Zᵀ` reduction (the
+//!   group-lasso covariance form);
 //! * **scenario_collect** — the training-data generation path: one
 //!   independent power-grid transient per benchmark, collected
 //!   concurrently (the small 2-core chip, all 19 benchmarks, so the bench
@@ -27,7 +25,6 @@
 
 use std::time::Instant;
 
-use voltsense::grouplasso::{solve_penalized_fista, GlOptions, GlProblem};
 use voltsense::linalg::Matrix;
 use voltsense::parallel;
 use voltsense::scenario::Scenario;
@@ -68,23 +65,6 @@ fn bits_equal(a: &[Matrix], b: &[Matrix]) -> bool {
         })
 }
 
-fn gl_problem(m: usize, k: usize, n: usize, seed: u64) -> GlProblem {
-    let mut rng = GaussianRng::seed_from_u64(seed);
-    let mut z = Matrix::zeros(m, n);
-    for v in z.as_mut_slice() {
-        *v = rng.sample();
-    }
-    let mut g = Matrix::zeros(k, n);
-    for kk in 0..k {
-        let a = rng.uniform_index(m);
-        let b = rng.uniform_index(m);
-        for s in 0..n {
-            g[(kk, s)] = 0.8 * z[(a, s)] + 0.3 * z[(b, s)] + 0.05 * rng.sample();
-        }
-    }
-    GlProblem::from_data(&z, &g).expect("valid problem")
-}
-
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = GaussianRng::seed_from_u64(seed);
     let mut m = Matrix::zeros(rows, cols);
@@ -112,9 +92,6 @@ fn main() {
     let a = random_matrix(400, 300, 11);
     let b = random_matrix(300, 350, 13);
     let z = random_matrix(300, 800, 17);
-    let p = gl_problem(200, 30, 1000, 42);
-    let mu = p.mu_max() * 0.3;
-    let opts = GlOptions::default();
     let scen = Scenario::small().expect("small scenario");
     let benchmarks: Vec<usize> = (0..NUM_BENCHMARKS).collect();
 
@@ -122,9 +99,6 @@ fn main() {
     let workloads: Vec<Workload> = vec![
         ("matmul", Box::new(|| vec![a.matmul(&b).expect("shapes agree")])),
         ("gram", Box::new(|| vec![z.gram()])),
-        ("gl_solve", Box::new(|| {
-            vec![solve_penalized_fista(&p, mu, &opts, None).expect("solve").beta]
-        })),
         ("scenario_collect", Box::new(|| {
             let d = scen.collect(&benchmarks).expect("simulation");
             vec![d.x, d.f]

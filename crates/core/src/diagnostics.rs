@@ -6,10 +6,12 @@
 //! collinear, one of them adds little information and the OLS coefficients
 //! are poorly determined (sensitive to calibration error). This module
 //! quantifies that with the spectrum of the selected sensors' correlation
-//! matrix.
+//! matrix. How well each placed sensor is predicted by its peers — what
+//! fault-tolerant monitoring relies on — is
+//! [`FaultTolerantModel::cross_rms`](crate::FaultTolerantModel::cross_rms).
 
 use voltsense_linalg::decomp::SymmetricEigen;
-use voltsense_linalg::{lstsq, stats};
+use voltsense_linalg::stats;
 use voltsense_linalg::Matrix;
 
 use crate::CoreError;
@@ -118,62 +120,6 @@ pub fn analyze_placement(
     })
 }
 
-/// Training RMS residual of predicting each placed sensor from the other
-/// `Q − 1` — the *cross-predictability* that fault-tolerant monitoring
-/// relies on. A sensor with a large value here is poorly covered by its
-/// peers: its faults are hard to detect by cross-prediction and its loss
-/// costs the most accuracy. Returns one value per entry of `sensors`.
-///
-/// # Errors
-///
-/// * [`CoreError::ShapeMismatch`] for fewer than two sensors or an
-///   out-of-range index.
-/// * Propagates least-squares failures on degenerate data.
-///
-/// # Example
-///
-/// ```
-/// use voltsense_linalg::Matrix;
-/// use voltsense_core::diagnostics::cross_predictability;
-///
-/// # fn main() -> Result<(), voltsense_core::CoreError> {
-/// // Sensor 1 = sensor 0 shifted; sensor 2 unrelated.
-/// let x = Matrix::from_rows(&[
-///     &[1.0, 2.0, 3.0, 4.0, 5.0],
-///     &[1.5, 2.5, 3.5, 4.5, 5.5],
-///     &[2.0, -1.0, 4.0, 0.0, 3.0],
-/// ])?;
-/// let rms = cross_predictability(&x, &[0, 1, 2])?;
-/// assert!(rms[0] < 1e-6 && rms[1] < 1e-6);
-/// assert!(rms[2] > 0.1);
-/// # Ok(())
-/// # }
-/// ```
-pub fn cross_predictability(x: &Matrix, sensors: &[usize]) -> Result<Vec<f64>, CoreError> {
-    if sensors.len() < 2 {
-        return Err(CoreError::ShapeMismatch {
-            what: format!(
-                "cross-predictability needs at least 2 sensors, got {}",
-                sensors.len()
-            ),
-        });
-    }
-    if let Some(&bad) = sensors.iter().find(|&&s| s >= x.rows()) {
-        return Err(CoreError::ShapeMismatch {
-            what: format!("sensor index {bad} out of range for {} candidates", x.rows()),
-        });
-    }
-    let x_sel = x.select_rows(sensors);
-    let q = sensors.len();
-    let mut out = Vec::with_capacity(q);
-    for i in 0..q {
-        let others: Vec<usize> = (0..q).filter(|&j| j != i).collect();
-        let fit = lstsq::ols_with_intercept(&x_sel.select_rows(&others), &x_sel.select_rows(&[i]))?;
-        out.push(fit.rms_residual);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,22 +184,18 @@ mod tests {
 
     #[test]
     fn cross_predictability_separates_covered_from_lonely_sensors() {
-        // Sensors 0 and 1 share their signal; sensor 2 is orthogonal.
+        // Sensors 0 and 1 share their signal; sensor 2 is orthogonal. The
+        // targets only give the fit its shape: cross-prediction models
+        // read the sensors alone.
         let x = Matrix::from_rows(&[
             &[1.0, -1.0, 1.0, -1.0, 1.0, -1.0],
             &[2.0, -2.0, 2.0, -2.0, 2.0, -2.0],
             &[1.0, 1.0, -1.0, -1.0, 1.0, 1.0],
         ])
         .unwrap();
-        let rms = cross_predictability(&x, &[0, 1, 2]).unwrap();
+        let model = crate::FaultTolerantModel::fit(&x, &x, &[0, 1, 2]).unwrap();
+        let rms: Vec<f64> = (0..3).map(|i| model.cross_rms(i).unwrap()).collect();
         assert!(rms[0] < 1e-9 && rms[1] < 1e-9, "covered: {rms:?}");
         assert!(rms[2] > 0.5, "lonely: {rms:?}");
-    }
-
-    #[test]
-    fn cross_predictability_input_validation() {
-        let x = independent_sensors();
-        assert!(cross_predictability(&x, &[0]).is_err());
-        assert!(cross_predictability(&x, &[0, 9]).is_err());
     }
 }

@@ -2,7 +2,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use voltsense_linalg::lstsq::{self, LinearFit};
-use voltsense_linalg::{vec_ops, Matrix};
+use voltsense_linalg::Matrix;
 use voltsense_parallel as parallel;
 use voltsense_telemetry as telemetry;
 
@@ -471,9 +471,6 @@ struct FaultFit {
     x_sel: Matrix,
     /// `K x N` training targets, kept for lazy multi-failure refits.
     f_train: Matrix,
-    /// Per-sensor training-mean reading, used as a neutral stand-in when a
-    /// lost sensor's value is needed by a cross-prediction input vector.
-    sensor_means: Vec<f64>,
     /// `fallbacks[i]` predicts all targets without sensor `i` (empty when
     /// `Q == 1` — there is nothing to fall back to).
     fallbacks: Vec<LinearFit>,
@@ -634,7 +631,6 @@ impl FaultTolerantModel {
         let primary = VoltageMapModel::fit(x, f, sensors)?;
         let x_sel = x.select_rows(sensors);
         let q = sensors.len();
-        let sensor_means: Vec<f64> = (0..q).map(|i| vec_ops::mean(x_sel.row(i))).collect();
         let mut fallbacks = Vec::new();
         let mut cross_all = None;
         if q > 1 {
@@ -658,7 +654,6 @@ impl FaultTolerantModel {
                 primary,
                 x_sel,
                 f_train: f.clone(),
-                sensor_means,
                 fallbacks,
                 cross_all,
             }),
@@ -675,11 +670,6 @@ impl FaultTolerantModel {
     /// Number of placed sensors `Q`.
     pub fn num_sensors(&self) -> usize {
         self.fitted.primary.num_sensors()
-    }
-
-    /// Per-sensor training-mean readings.
-    pub fn sensor_means(&self) -> &[f64] {
-        &self.fitted.sensor_means
     }
 
     /// The pre-fitted leave-`i`-out fallback, or `None` when `Q == 1`.

@@ -79,8 +79,12 @@ impl ChipMonitor for EmergencyMonitor {
         EmergencyMonitor::is_alarmed(self)
     }
 
+    /// `None` for a fault-tolerant monitor: the v1 document has no place
+    /// for its strikes, failed set or fallback family, and restoring it
+    /// as a naive monitor would answer every dead sensor's NaN with an
+    /// error and never decide again.
     fn checkpoint_json(&self, key: SessionKey) -> Option<String> {
-        Some(crate::checkpoint::to_json(key, self))
+        (!self.is_fault_tolerant()).then(|| crate::checkpoint::to_json(key, self))
     }
 
     fn batch_model(&self) -> Option<&VoltageMapModel> {
@@ -693,6 +697,24 @@ mod tests {
         assert!(s.checkpoint_due());
         s.take_checkpoint();
         assert!(!s.checkpoint_due());
+    }
+
+    #[test]
+    fn only_naive_monitors_are_checkpointed() {
+        use voltsense_core::{FaultPolicy, FaultTolerantModel};
+        let x = voltsense_linalg::Matrix::from_rows(&[
+            &[0.90, 0.92, 0.88, 0.95, 0.91, 0.87, 0.93, 0.89],
+            &[0.91, 0.89, 0.93, 0.90, 0.86, 0.94, 0.92, 0.88],
+            &[0.94, 0.90, 0.91, 0.87, 0.93, 0.89, 0.86, 0.92],
+        ])
+        .unwrap();
+        let model = FaultTolerantModel::fit(&x, &x, &[0, 1, 2]).unwrap();
+        let key = SessionKey { tenant: 1, chip: 1 };
+        let naive = EmergencyMonitor::new(model.primary().clone(), 0.85, 2, 0.02).unwrap();
+        assert!(naive.checkpoint_json(key).is_some());
+        let tolerant =
+            EmergencyMonitor::fault_tolerant(model, 0.85, 2, 0.02, FaultPolicy::default()).unwrap();
+        assert!(tolerant.checkpoint_json(key).is_none());
     }
 
     #[test]

@@ -6,15 +6,13 @@ use voltsense_telemetry as telemetry;
 use crate::problem::{column_norm, GlProblem};
 use crate::GroupLassoError;
 
-/// Solver options shared by the BCD and FISTA solvers and the constrained
-/// bisection.
+/// Solver options for BCD and the constrained bisection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlOptions {
-    /// Maximum BCD sweeps (or FISTA iterations).
+    /// Maximum BCD sweeps.
     pub max_sweeps: usize,
     /// Convergence tolerance: BCD stops when the worst per-group KKT
-    /// violation falls below `tolerance * μ_max`; FISTA stops on the
-    /// relative iterate change falling below `tolerance`.
+    /// violation falls below `tolerance * μ_max`.
     pub tolerance: f64,
     /// Maximum bisection steps for the constrained solver.
     pub max_bisections: usize,

@@ -20,9 +20,9 @@
 //! has the closed form `β_m = soft(c_m, μ) / S_mm` — and recovers the
 //! constrained solution by a monotone bisection on `μ`
 //! ([`HomotopySolver::solve_constrained`]), so `λ` keeps the paper's
-//! budget semantics. A FISTA proximal-gradient solver
-//! ([`solve_penalized_fista`]) provides an independent cross-check, and
-//! [`kkt_violation`] verifies optimality of any solution.
+//! budget semantics. BCD is the crate's only solver; [`kkt_violation`]
+//! verifies optimality of any solution, and the crate's tests also check
+//! BCD against an independent accelerated proximal-gradient oracle.
 //!
 //! Budget and penalty sweeps — the shape of every experiment in the
 //! paper — run on one [`HomotopySolver`]: it chains warm starts and
@@ -66,7 +66,6 @@
 mod bcd;
 mod cv;
 mod error;
-mod fista;
 mod homotopy;
 mod kkt;
 mod problem;
@@ -76,7 +75,6 @@ pub use bcd::{solve_penalized, GlOptions, GlSolution};
 pub use bcd::sweep_groups;
 pub use cv::{cross_validate, CvResult};
 pub use error::GroupLassoError;
-pub use fista::solve_penalized_fista;
 pub use homotopy::{ConstrainedSolution, HomotopySolver, PathPoint};
 pub use kkt::kkt_violation;
 pub use problem::GlProblem;

@@ -1,9 +1,12 @@
-//! Property-based tests for the group-lasso solvers (testkit harness: 64
-//! deterministic seeded cases per property, greedy shrinking).
+//! Property-based tests for the group-lasso solver (testkit harness: 64
+//! deterministic seeded cases per property, greedy shrinking), and BCD
+//! checked against the independent FISTA oracle of `support/fista.rs`.
 
-use voltsense_grouplasso::{
-    kkt_violation, solve_penalized, solve_penalized_fista, GlOptions, GlProblem, HomotopySolver,
-};
+#[path = "support/fista.rs"]
+mod oracle;
+
+use oracle::{fista, spectral_norm_upper};
+use voltsense_grouplasso::{kkt_violation, solve_penalized, GlOptions, GlProblem, HomotopySolver};
 use voltsense_linalg::Matrix;
 use voltsense_testkit::{f64_range, forall, usize_range, vec_f64};
 
@@ -52,7 +55,7 @@ fn bcd_and_fista_agree_on_objective() {
         let p = problem(m, k, n, &zdata, &mix);
         let mu = p.mu_max() * mu_frac;
         let bcd = solve_penalized(&p, mu, &options(), None).unwrap();
-        let fista = solve_penalized_fista(&p, mu, &options(), None).unwrap();
+        let fista = fista(&p, mu, &options());
         let scale = bcd.objective.abs().max(1.0);
         assert!(
             (bcd.objective - fista.objective).abs() <= 1e-4 * scale,
@@ -241,4 +244,98 @@ fn homotopy_constrained_matches_cold_bisection() {
             "warm {} vs standalone {}", second.budget_used, standalone.budget_used
         );
     });
+}
+
+/// Eight samples of three candidates and two targets: the oracle's
+/// toy problem.
+fn oracle_toy_problem() -> GlProblem {
+    let z = Matrix::from_rows(&[
+        &[1.0, -1.0, 0.8, -0.8, 1.2, -1.2, 0.9, -0.9],
+        &[0.9, -0.9, 0.7, -0.9, 1.1, -1.0, 0.8, -1.0],
+        &[0.3, 0.1, -0.2, 0.4, -0.1, 0.2, -0.3, -0.4],
+    ])
+    .unwrap();
+    let g = Matrix::from_rows(&[
+        &[1.0, -1.0, 0.8, -0.8, 1.2, -1.2, 0.9, -0.9],
+        &[0.95, -0.95, 0.75, -0.85, 1.15, -1.1, 0.85, -0.95],
+    ])
+    .unwrap();
+    GlProblem::from_data(&z, &g).unwrap()
+}
+
+fn tight_options() -> GlOptions {
+    GlOptions {
+        max_sweeps: 20_000,
+        tolerance: 1e-10,
+        ..GlOptions::default()
+    }
+}
+
+#[test]
+fn fista_matches_bcd_objective() {
+    let p = oracle_toy_problem();
+    for &mu in &[0.05, 0.3, 1.0, 2.5] {
+        let bcd = solve_penalized(&p, mu, &tight_options(), None).unwrap();
+        let fista = fista(&p, mu, &tight_options());
+        assert!(
+            (bcd.objective - fista.objective).abs() < 1e-5,
+            "mu={mu}: bcd {} vs fista {}",
+            bcd.objective,
+            fista.objective
+        );
+    }
+}
+
+#[test]
+fn fista_matches_bcd_support() {
+    let p = oracle_toy_problem();
+    let bcd = solve_penalized(&p, 0.8, &tight_options(), None).unwrap();
+    let fista = fista(&p, 0.8, &tight_options());
+    assert_eq!(bcd.selected(1e-6), fista.selected(1e-6));
+}
+
+#[test]
+fn huge_penalty_zeroes_out() {
+    let p = oracle_toy_problem();
+    let sol = fista(&p, p.mu_max() * 1.1, &GlOptions::default());
+    assert!(sol.beta.max_abs() < 1e-9);
+}
+
+#[test]
+fn spectral_norm_bound_is_valid() {
+    let p = oracle_toy_problem();
+    let s = p.s();
+    let upper = spectral_norm_upper(s);
+    // Check against the Frobenius bound and a random quadratic form.
+    assert!(upper <= s.frobenius_norm() * 1.05 + 1e-9);
+    let v = [0.5, -0.3, 0.8];
+    let sv = s.matvec(&v).unwrap();
+    let rayleigh =
+        v.iter().zip(&sv).map(|(a, b)| a * b).sum::<f64>() / v.iter().map(|x| x * x).sum::<f64>();
+    assert!(rayleigh <= upper + 1e-9);
+}
+
+#[test]
+fn fista_solutions_satisfy_kkt() {
+    // The toy problem of the crate's `kkt` unit tests.
+    let z = Matrix::from_rows(&[
+        &[1.0, -1.0, 0.8, -0.8, 1.2, -1.2],
+        &[0.4, 0.6, -0.5, -0.4, 0.3, -0.4],
+        &[0.1, -0.2, 0.3, -0.1, 0.2, -0.3],
+    ])
+    .unwrap();
+    let g = Matrix::from_rows(&[
+        &[0.9, -1.0, 0.7, -0.9, 1.1, -1.1],
+        &[0.2, 0.4, -0.4, -0.2, 0.2, -0.2],
+    ])
+    .unwrap();
+    let p = GlProblem::from_data(&z, &g).unwrap();
+    let opts = GlOptions {
+        tolerance: 1e-12,
+        max_sweeps: 50_000,
+        ..GlOptions::default()
+    };
+    let sol = fista(&p, 0.3, &opts);
+    let v = kkt_violation(&p, &sol.beta, 0.3).unwrap();
+    assert!(v < 1e-6, "KKT violation {v}");
 }

@@ -1,4 +1,4 @@
-//! Ordinary and ridge least squares in the paper's data layout.
+//! Ordinary least squares in the paper's data layout.
 //!
 //! Throughout the workspace, data matrices have **variables as rows and
 //! samples as columns** (the paper's Eq. 6). A multi-output linear model is
@@ -99,26 +99,6 @@ impl LinearFit {
 /// # }
 /// ```
 pub fn ols_with_intercept(x: &Matrix, f: &Matrix) -> Result<LinearFit, LinalgError> {
-    fit_impl(x, f, 0.0)
-}
-
-/// Ridge-regularized variant: adds `ridge * I` to the Gram matrix. `ridge`
-/// must be `>= 0`; `0` is plain OLS.
-///
-/// # Errors
-///
-/// Same as [`ols_with_intercept`]; additionally
-/// [`LinalgError::InvalidDimensions`] if `ridge` is negative or non-finite.
-pub fn ridge_with_intercept(x: &Matrix, f: &Matrix, ridge: f64) -> Result<LinearFit, LinalgError> {
-    if !ridge.is_finite() || ridge < 0.0 {
-        return Err(LinalgError::InvalidDimensions {
-            what: format!("ridge must be finite and >= 0, got {ridge}"),
-        });
-    }
-    fit_impl(x, f, ridge)
-}
-
-fn fit_impl(x: &Matrix, f: &Matrix, ridge: f64) -> Result<LinearFit, LinalgError> {
     let (p, n) = x.shape();
     let (k, nf) = f.shape();
     if n != nf {
@@ -143,14 +123,9 @@ fn fit_impl(x: &Matrix, f: &Matrix, ridge: f64) -> Result<LinearFit, LinalgError
     let xc = centered(x, &x_means);
     let fc = centered(f, &f_means);
 
-    // Normal equations: α (X̄ X̄ᵀ + ridge I) = F̄ X̄ᵀ  =>  solve the SPD
-    // system Gᵀ αᵀ = (F̄ X̄ᵀ)ᵀ where G = X̄ X̄ᵀ + ridge I is symmetric.
+    // Normal equations: α X̄ X̄ᵀ = F̄ X̄ᵀ  =>  solve the SPD system
+    // G αᵀ = (F̄ X̄ᵀ)ᵀ where G = X̄ X̄ᵀ is symmetric.
     let mut gram = xc.gram();
-    if ridge > 0.0 {
-        for i in 0..p {
-            gram[(i, i)] += ridge;
-        }
-    }
     let fxt = fc.matmul(&xc.transpose())?; // K x P
 
     let alpha = match Cholesky::new(&gram) {
@@ -291,23 +266,6 @@ mod tests {
         let fit = ols_with_intercept(&x, &f).unwrap();
         let pred = fit.predict_matrix(&x).unwrap();
         assert!(pred.approx_eq(&f, 1e-6));
-    }
-
-    #[test]
-    fn ridge_shrinks_coefficients() {
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]).unwrap();
-        let f = Matrix::from_rows(&[&[2.0, 4.0, 6.0, 8.0]]).unwrap();
-        let ols = ols_with_intercept(&x, &f).unwrap();
-        let ridge = ridge_with_intercept(&x, &f, 10.0).unwrap();
-        assert!(ridge.coefficients[(0, 0)].abs() < ols.coefficients[(0, 0)].abs());
-    }
-
-    #[test]
-    fn ridge_rejects_negative() {
-        let x = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
-        let f = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
-        assert!(ridge_with_intercept(&x, &f, -1.0).is_err());
-        assert!(ridge_with_intercept(&x, &f, f64::NAN).is_err());
     }
 
     #[test]

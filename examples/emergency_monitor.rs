@@ -8,7 +8,6 @@
 
 use voltsense::core::{detection, EmergencyMonitor, FaultPolicy, Methodology, MethodologyConfig};
 use voltsense::eagleeye::{EagleEyeConfig, EagleEyePlacement};
-use voltsense::grouplasso::{solve_penalized_fista, GlOptions, GlProblem};
 use voltsense::faults::{FaultEvent, FaultInjector, FaultKind, FaultSchedule};
 use voltsense::scenario::Scenario;
 
@@ -32,19 +31,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fitted = Methodology::fit(&train.x, &train.f, &config)?;
     let q = fitted.sensors().len();
 
-    // Solver introspection: cross-check the BCD-based selection with the
-    // independent FISTA solver on the same group-lasso problem. With
-    // telemetry enabled, both solvers record per-iteration convergence
-    // events (objective, KKT residual, active groups) into the snapshot.
-    let problem = GlProblem::from_data(&train.x, &train.f)?;
-    let fista =
-        solve_penalized_fista(&problem, 0.5 * problem.mu_max(), &GlOptions::default(), None)?;
-    println!(
-        "fista cross-check: {} iterations, kkt residual {:.2e}, {} active groups",
-        fista.sweeps,
-        fista.kkt_residual,
-        fista.selected(1e-6).len()
-    );
     let eagle = EagleEyePlacement::place(&train.x, &train.f, q, &EagleEyeConfig::default())?;
     println!(
         "deployed {} sensors; monitoring benchmark {} ({} samples)",

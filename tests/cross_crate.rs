@@ -1,13 +1,15 @@
 //! Cross-crate consistency checks: independent implementations must agree
 //! on real (simulated) data, not just on toy matrices.
 
+#[path = "../crates/grouplasso/tests/support/fista.rs"]
+mod oracle;
+
+use oracle::fista;
 use voltsense::core::{
     EmergencyMonitor, FaultPolicy, FaultTolerantModel, SelectionProblem, VoltageMapModel,
 };
 use voltsense::faults::{FaultEvent, FaultInjector, FaultKind, FaultSchedule};
-use voltsense::grouplasso::{
-    kkt_violation, solve_penalized, solve_penalized_fista, GlOptions, GlProblem,
-};
+use voltsense::grouplasso::{kkt_violation, solve_penalized, GlOptions, GlProblem};
 use voltsense::linalg::stats::Normalizer;
 use voltsense::linalg::{lstsq, Matrix};
 use voltsense::scenario::Scenario;
@@ -49,7 +51,7 @@ fn direct_and_iterative_solvers_agree_on_grid_matrix() {
 #[test]
 fn bcd_and_fista_agree_on_simulated_voltages() {
     let (x, f) = scenario_data();
-    // Use a candidate subset to keep FISTA fast.
+    // Use a candidate subset to keep the FISTA oracle fast.
     let rows: Vec<usize> = (0..x.rows()).step_by(7).collect();
     let x = x.select_rows(&rows);
     let f_rows: Vec<usize> = (0..f.rows()).step_by(4).collect();
@@ -65,7 +67,7 @@ fn bcd_and_fista_agree_on_simulated_voltages() {
         ..GlOptions::default()
     };
     let bcd = solve_penalized(&p, mu, &opts, None).unwrap();
-    let fista = solve_penalized_fista(&p, mu, &opts, None).unwrap();
+    let fista = fista(&p, mu, &opts);
     let scale = bcd.objective.abs().max(1.0);
     assert!(
         (bcd.objective - fista.objective).abs() < 1e-3 * scale,

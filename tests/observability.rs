@@ -2,7 +2,7 @@
 //!
 //! * profile attribution — one small fit under a recorder, profiled
 //!   through the live `/profile?format=collapsed` route, must show a
-//!   group-lasso solver span (`gl.bcd.*` / `gl.fista.*`) as the hottest
+//!   group-lasso solver span (`gl.bcd.*`) as the hottest
 //!   frame nested below `methodology.*`, not some untracked frame;
 //! * incidents — a fault-aware monitor under the flight recorder, with a
 //!   sensor stuck mid-trace, must leave an `alarm` file, a `hot_swap` file
@@ -104,7 +104,7 @@ fn hottest_frame_under_the_methodology_is_a_group_lasso_solver() {
         .unwrap_or_else(|| panic!("no frames folded under methodology.*"));
     assert!(*ns > 0, "no self time under methodology.*: {counts:?}");
     assert!(
-        frame.starts_with("gl.bcd") || frame.starts_with("gl.fista"),
+        frame.starts_with("gl.bcd"),
         "hottest frame under methodology.* is {frame:?} ({ns} ns): {counts:?}"
     );
 }
