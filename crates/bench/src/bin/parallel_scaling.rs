@@ -1,9 +1,11 @@
 //! Parallel-scaling bench: wall-clock speedup versus thread count for the
-//! three workloads the data-parallel runtime targets —
+//! four workloads the data-parallel runtime targets —
 //!
 //! * **matmul** — the blocked row-partitioned dense kernel;
 //! * **gram** — the triangle-partitioned `Z Zᵀ` reduction (the
 //!   group-lasso covariance form);
+//! * **matmul_t** — the tiled `G Zᵀ` cross-covariance, checked once
+//!   against `G · Zᵀ` on an explicit transpose before it is timed;
 //! * **scenario_collect** — the training-data generation path: one
 //!   independent power-grid transient per benchmark, collected
 //!   concurrently (the small 2-core chip, all 19 benchmarks, so the bench
@@ -92,6 +94,14 @@ fn main() {
     let a = random_matrix(400, 300, 11);
     let b = random_matrix(300, 350, 13);
     let z = random_matrix(300, 800, 17);
+    let g = random_matrix(64, 800, 19);
+    assert!(
+        bits_equal(
+            &[g.matmul_t(&z).expect("shapes agree")],
+            &[g.matmul(&z.transpose()).expect("shapes agree")]
+        ),
+        "matmul_t is NOT bit-identical to matmul on the explicit transpose"
+    );
     let scen = Scenario::small().expect("small scenario");
     let benchmarks: Vec<usize> = (0..NUM_BENCHMARKS).collect();
 
@@ -99,6 +109,7 @@ fn main() {
     let workloads: Vec<Workload> = vec![
         ("matmul", Box::new(|| vec![a.matmul(&b).expect("shapes agree")])),
         ("gram", Box::new(|| vec![z.gram()])),
+        ("matmul_t", Box::new(|| vec![g.matmul_t(&z).expect("shapes agree")])),
         ("scenario_collect", Box::new(|| {
             let d = scen.collect(&benchmarks).expect("simulation");
             vec![d.x, d.f]

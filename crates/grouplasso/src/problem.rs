@@ -61,7 +61,7 @@ impl GlProblem {
             return Err(GroupLassoError::NonFinite { what: "G" });
         }
         let s = z.gram();
-        let q = g.matmul(&z.transpose())?;
+        let q = g.matmul_t(z)?;
         let gg = g.as_slice().iter().map(|x| x * x).sum();
         Ok(GlProblem {
             s,

@@ -126,7 +126,7 @@ pub fn ols_with_intercept(x: &Matrix, f: &Matrix) -> Result<LinearFit, LinalgErr
     // Normal equations: α X̄ X̄ᵀ = F̄ X̄ᵀ  =>  solve the SPD system
     // G αᵀ = (F̄ X̄ᵀ)ᵀ where G = X̄ X̄ᵀ is symmetric.
     let mut gram = xc.gram();
-    let fxt = fc.matmul(&xc.transpose())?; // K x P
+    let fxt = fc.matmul_t(&xc)?; // K x P
 
     let alpha = match Cholesky::new(&gram) {
         Ok(chol) => {

@@ -15,8 +15,8 @@ const MATMUL_K_BLOCK: usize = 64;
 const PAR_TASK_FLOPS: usize = 1 << 18;
 
 /// Minimum elements moved per parallel task for memory-bound kernels
-/// (transpose, row gathers).
-const PAR_TASK_ELEMS: usize = 1 << 16;
+/// (transpose, row gathers, per-row statistics).
+pub(crate) const PAR_TASK_ELEMS: usize = 1 << 16;
 
 /// Unroll width of the lane kernels (`matmul*`, `gram*`, `matvec*`).
 ///
@@ -50,6 +50,72 @@ fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
         acc += x * y;
     }
     acc
+}
+
+/// Edge of the register tile of the A·Bᵀ kernel ([`Matrix::matmul_t`],
+/// [`Matrix::gram`]): `TILE` rows of `a` against `TILE` rows of `b`.
+const TILE: usize = 4;
+
+/// The `TILE × TILE` lane-identity dots of rows `a[r]` with rows `b[c]`,
+/// all of one length. Each lane chunk of the eight rows is loaded once
+/// for the sixteen entries, whose independent accumulators keep the
+/// multiplies in flight; every entry folds its chunk as
+/// `((p0 + p1) + p2) + p3` and then the ascending tail, so it carries
+/// exactly the bits of its [`dot_lanes`]. Plain array code that LLVM
+/// vectorizes; IEEE semantics keep it from reassociating the sums.
+#[inline(always)]
+fn tile_dots(a: [&[f64]; TILE], b: [&[f64]; TILE]) -> [[f64; TILE]; TILE] {
+    let len = a[0].len();
+    let chunks = len / LANE;
+    let head = chunks * LANE;
+    let ac: [&[[f64; LANE]]; TILE] = std::array::from_fn(|r| &a[r].as_chunks().0[..chunks]);
+    let bc: [&[[f64; LANE]]; TILE] = std::array::from_fn(|c| &b[c].as_chunks().0[..chunks]);
+    let mut acc = [[0.0; TILE]; TILE];
+    for k in 0..chunks {
+        for (acc_r, ar) in acc.iter_mut().zip(&ac) {
+            let x = ar[k];
+            for (o, bcc) in acc_r.iter_mut().zip(&bc) {
+                let y = bcc[k];
+                *o += x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3];
+            }
+        }
+    }
+    for k in head..len {
+        for (acc_r, ar) in acc.iter_mut().zip(&a) {
+            for (o, bc) in acc_r.iter_mut().zip(&b) {
+                *o += ar[k] * bc[k];
+            }
+        }
+    }
+    acc
+}
+
+/// Rows `first..first + block.len() / width` of `a · bᵀ` (`width =
+/// b.rows()`) into `block`, tile by tile. With `upper`, each row tile
+/// starts at its own first row's column (the upper triangle of a Gram
+/// matrix, plus a few entries below the diagonal that the caller's
+/// mirror overwrites). A ragged tile at the last rows or columns repeats
+/// its last row and keeps only its real entries: every entry is its own
+/// lane-identity dot, so the bits do not depend on where the tiles fall.
+fn fill_t_rows(a: &Matrix, b: &Matrix, first: usize, block: &mut [f64], upper: bool) {
+    let width = b.rows;
+    if width == 0 {
+        return;
+    }
+    let rows = block.len() / width;
+    for r0 in (0..rows).step_by(TILE) {
+        let tr = TILE.min(rows - r0);
+        let i0 = first + r0;
+        let ar: [&[f64]; TILE] = std::array::from_fn(|r| a.row(i0 + r.min(tr - 1)));
+        let lo = if upper { i0 } else { 0 };
+        for j in (lo..width).step_by(TILE) {
+            let tc = TILE.min(width - j);
+            let t = tile_dots(ar, std::array::from_fn(|c| b.row(j + c.min(tc - 1))));
+            for (r, tile_row) in t.iter().take(tr).enumerate() {
+                block[(r0 + r) * width + j..][..tc].copy_from_slice(&tile_row[..tc]);
+            }
+        }
+    }
 }
 
 /// Adds `a[k] · rhs.row(k)` for every `k` in `kb..kend` into `out`, under
@@ -358,12 +424,22 @@ impl Matrix {
     ///
     /// Panics if any index is out of bounds.
     pub fn select_cols(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, indices.len());
-        for i in 0..self.rows {
-            for (c, &j) in indices.iter().enumerate() {
-                out[(i, c)] = self[(i, j)];
-            }
+        // Validated up front, as in `select_rows`, so an out-of-bounds
+        // index panics on the calling thread before any task runs.
+        for &j in indices {
+            assert!(j < self.cols, "col index {j} out of bounds ({})", self.cols);
         }
+        let width = indices.len();
+        let mut out = Matrix::zeros(self.rows, width);
+        let min_rows = PAR_TASK_ELEMS.div_ceil(width.max(1));
+        parallel::for_each_row_block(&mut out.data, width, min_rows, |first, block| {
+            for (i, orow) in (first..).zip(block.chunks_mut(width)) {
+                let irow = self.row(i);
+                for (o, &j) in orow.iter_mut().zip(indices) {
+                    *o = irow[j];
+                }
+            }
+        });
         out
     }
 
@@ -528,14 +604,16 @@ impl Matrix {
     }
 
     /// Computes `self * selfᵀ` (a symmetric `rows x rows` Gram matrix)
-    /// without materializing the transpose.
+    /// without materializing the transpose: the symmetric case of
+    /// [`Matrix::matmul_t`].
     ///
-    /// Only the upper triangle is computed; the lower is mirrored. In the
-    /// parallel path task `c` owns the *strided* row set `c, c+P, c+2P, …`
-    /// — upper-triangle row `i` holds `n - i` dots, so striding balances
-    /// the shrinking rows across tasks where contiguous blocks would not.
-    /// Every dot is the same lane-identity `dot_lanes` on both paths, so
-    /// the result is bit-identical at any thread count.
+    /// Only the tiles on and above the diagonal are computed; the lower
+    /// triangle is mirrored. In the parallel path task `c` owns the
+    /// *strided* tile rows `c, c+P, c+2P, …` — tile row `t` holds about
+    /// `n/TILE - t` tiles, so striding balances the shrinking rows across
+    /// tasks where contiguous blocks would not. Every entry carries the
+    /// bits of its lane-identity dot on both paths, so the result is
+    /// bit-identical at any thread count.
     pub fn gram(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.rows);
         self.gram_into(&mut out)
@@ -545,8 +623,9 @@ impl Matrix {
 
     /// [`Matrix::gram`] into a caller-provided `rows x rows` output matrix,
     /// allocating nothing on the serial path (the parallel path builds its
-    /// per-row hand-off slots; hot loops that must stay allocation-free run
-    /// it under one thread). Pinned by the `alloc_gate` tests.
+    /// per-tile-row hand-off slots; hot loops that must stay
+    /// allocation-free run it under one thread). Pinned by the
+    /// `alloc_gate` tests.
     ///
     /// # Errors
     ///
@@ -561,37 +640,27 @@ impl Matrix {
                 right: out.shape(),
             });
         }
+        let tile_rows = n.div_ceil(TILE);
         let total_flops = n * (n + 1) / 2 * self.cols;
-        let parts = parallel::current_threads().min((total_flops / PAR_TASK_FLOPS).max(1));
+        let parts = parallel::current_threads()
+            .min((total_flops / PAR_TASK_FLOPS).max(1))
+            .min(tile_rows);
         if parts <= 1 {
-            for i in 0..n {
-                for j in i..n {
-                    let s = dot_lanes(self.row(i), self.row(j));
-                    out[(i, j)] = s;
-                    out[(j, i)] = s;
-                }
-            }
-            return Ok(());
-        }
-        {
-            let mut slots: Vec<Mutex<Option<&mut [f64]>>> = Vec::with_capacity(n);
-            let mut rest = out.data.as_mut_slice();
-            for _ in 0..n {
-                let (head, tail) = rest.split_at_mut(n);
-                slots.push(Mutex::new(Some(head)));
-                rest = tail;
-            }
+            fill_t_rows(self, self, 0, &mut out.data, true);
+        } else {
+            let slots: Vec<Mutex<Option<&mut [f64]>>> = out
+                .data
+                .chunks_mut(TILE * n)
+                .map(|rows| Mutex::new(Some(rows)))
+                .collect();
             parallel::run(parts, |c| {
-                for i in (c..n).step_by(parts) {
-                    let row_out = slots[i]
+                for t in (c..tile_rows).step_by(parts) {
+                    let rows = slots[t]
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .take()
-                        .expect("each gram row is owned by exactly one task");
-                    let ri = self.row(i);
-                    for (j, o) in row_out.iter_mut().enumerate().skip(i) {
-                        *o = dot_lanes(ri, self.row(j));
-                    }
+                        .expect("each gram tile row is owned by exactly one task");
+                    fill_t_rows(self, self, t * TILE, rows, true);
                 }
             });
         }
@@ -600,6 +669,57 @@ impl Matrix {
                 out[(i, j)] = out[(j, i)];
             }
         }
+        Ok(())
+    }
+
+    /// Computes `self * otherᵀ` (`self.rows() x other.rows()`) without
+    /// materializing the transpose: entry `(i, j)` is the lane-identity
+    /// dot of row `i` of `self` with row `j` of `other`, so the result is
+    /// bit-identical to `self.matmul(&other.transpose())` and to
+    /// [`Matrix::matmul_serial`] on the transpose. The kernel works in
+    /// `TILE × TILE` register tiles of row pairs, loading each pair of
+    /// lane chunks once per tile instead of once per dot; output rows are
+    /// partitioned across tasks, so the bits are the same at any thread
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if
+    /// `self.cols() != other.cols()`.
+    pub fn matmul_t(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
+        let mut out = Matrix::zeros(self.rows, other.rows);
+        self.matmul_t_into(other, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::matmul_t`] into a caller-provided output matrix (shape
+    /// `self.rows x other.rows`), allocating nothing on the serial path.
+    /// Pinned by the `alloc_gate` tests.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if
+    /// `self.cols() != other.cols()` or `out` has the wrong shape.
+    pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
+        if self.cols != other.cols {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul_t",
+                left: self.shape(),
+                right: other.shape(),
+            });
+        }
+        if out.shape() != (self.rows, other.rows) {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul_t_into",
+                left: (self.rows, other.rows),
+                right: out.shape(),
+            });
+        }
+        let width = other.rows;
+        let min_rows = PAR_TASK_FLOPS.div_ceil((self.cols * width).max(1));
+        parallel::for_each_row_block(&mut out.data, width, min_rows, |first, block| {
+            fill_t_rows(self, other, first, block, false);
+        });
         Ok(())
     }
 

@@ -6,26 +6,43 @@
 //! applicable to new samples, and invertible so predicted `g*` values can be
 //! mapped back to volts.
 
+use voltsense_parallel as parallel;
+
+use crate::matrix::PAR_TASK_ELEMS;
 use crate::{LinalgError, Matrix};
+
+/// `f(i, row i)` for every row of `m`, row blocks on the pool. Each row
+/// is reduced serially by one task, so the result is bit-identical at
+/// any thread count.
+fn per_row(m: &Matrix, f: impl Fn(usize, &[f64]) -> f64 + Sync) -> Vec<f64> {
+    let mut out = vec![0.0; m.rows()];
+    let min_rows = PAR_TASK_ELEMS.div_ceil(m.cols().max(1));
+    parallel::for_each_row_block(&mut out, 1, min_rows, |first, block| {
+        for (i, o) in (first..).zip(block) {
+            *o = f(i, m.row(i));
+        }
+    });
+    out
+}
 
 /// Mean of each row of a matrix (one value per row).
 pub fn row_means(m: &Matrix) -> Vec<f64> {
     let n = m.cols().max(1) as f64;
-    (0..m.rows())
-        .map(|i| m.row(i).iter().sum::<f64>() / n)
-        .collect()
+    per_row(m, |_, row| row.iter().sum::<f64>() / n)
 }
 
 /// Population standard deviation of each row.
 pub fn row_stds(m: &Matrix) -> Vec<f64> {
-    let means = row_means(m);
+    row_stds_about(m, &row_means(m))
+}
+
+/// Population standard deviation of each row about the given row means.
+fn row_stds_about(m: &Matrix, means: &[f64]) -> Vec<f64> {
     let n = m.cols().max(1) as f64;
-    (0..m.rows())
-        .map(|i| {
-            let mu = means[i];
-            (m.row(i).iter().map(|&x| (x - mu) * (x - mu)).sum::<f64>() / n).sqrt()
-        })
-        .collect()
+    per_row(m, |i, row| {
+        let mu = means[i];
+        (row.iter().map(|&x| (x - mu) * (x - mu)).sum::<f64>() / n).sqrt()
+    })
 }
 
 /// Pearson correlation between two equally-long slices.
@@ -94,7 +111,7 @@ impl Normalizer {
     /// Fits means and standard deviations on the rows of `training`.
     pub fn fit(training: &Matrix) -> Self {
         let means = row_means(training);
-        let stds = row_stds(training)
+        let stds = row_stds_about(training, &means)
             .into_iter()
             .map(|s| if s < Self::STD_FLOOR { 1.0 } else { s })
             .collect();
@@ -130,14 +147,17 @@ impl Normalizer {
                 right: m.shape(),
             });
         }
-        let mut out = m.clone();
-        for i in 0..out.rows() {
-            let mu = self.means[i];
-            let inv = 1.0 / self.stds[i];
-            for v in out.row_mut(i) {
-                *v = (*v - mu) * inv;
+        let cols = m.cols();
+        let mut out = Matrix::zeros(m.rows(), cols);
+        let min_rows = PAR_TASK_ELEMS.div_ceil(cols.max(1));
+        parallel::for_each_row_block(out.as_mut_slice(), cols, min_rows, |first, block| {
+            for (i, orow) in (first..).zip(block.chunks_mut(cols)) {
+                let (mu, inv) = (self.means[i], 1.0 / self.stds[i]);
+                for (o, &v) in orow.iter_mut().zip(m.row(i)) {
+                    *o = (v - mu) * inv;
+                }
             }
-        }
+        });
         Ok(out)
     }
 

@@ -49,6 +49,19 @@ fn gram_into_is_alloc_free_serial() {
 }
 
 #[test]
+fn matmul_t_into_is_alloc_free_serial() {
+    with_threads(1, || {
+        // Ragged on purpose: 18 × 14 rows leave partial tiles and a lane tail.
+        let a = filled(18, 23, 0.2);
+        let b = filled(14, 23, -0.3);
+        let mut out = Matrix::zeros(18, 14);
+        alloc_gate!("linalg.matmul_t_into", 16, || {
+            a.matmul_t_into(&b, &mut out).unwrap();
+        });
+    });
+}
+
+#[test]
 fn matvec_into_is_alloc_free() {
     with_threads(1, || {
         let a = filled(32, 24, -0.1);

@@ -7,8 +7,10 @@
 //! fan out (the kernels skip dispatch below a work threshold, so small
 //! shapes would only exercise the inline path).
 
+use voltsense_linalg::stats::Normalizer;
+use voltsense_linalg::Matrix;
 use voltsense_parallel::with_threads;
-use voltsense_testkit::{forall, matrix, vec_f64};
+use voltsense_testkit::{choice, forall, matrix, u64_range, usize_range, vec_f64};
 
 /// Thread counts swept by every property; 1 pins the inline path, the
 /// rest force real fan-out even on a single-core machine.
@@ -99,5 +101,164 @@ fn transpose_and_select_rows_bit_identical_across_thread_counts() {
                        "select_rows diverged at {threads} threads");
         }
         assert_eq!(t1.transpose(), m);
+    });
+}
+
+/// Finite edge values: signed zeros, the smallest and largest
+/// subnormals, and magnitudes whose products overflow to ±∞ (and whose
+/// sums of opposite infinities make NaN).
+const FINITE_EDGES: [f64; 8] = [
+    0.0,
+    -0.0,
+    f64::from_bits(1),
+    -f64::from_bits(1),
+    f64::from_bits(0x000f_ffff_ffff_ffff),
+    -f64::from_bits(0x000f_ffff_ffff_ffff),
+    1e300,
+    -1e300,
+];
+
+/// Deterministic value stream: one value in eight is an edge value, the
+/// rest uniform in `[-2, 2)`. With `non_finite`, ±∞ and NaN join the
+/// edge pool.
+fn edge_values(seed: u64, n: usize, non_finite: bool) -> Vec<f64> {
+    let pool: Vec<f64> = if non_finite {
+        FINITE_EDGES
+            .iter()
+            .copied()
+            .chain([f64::INFINITY, f64::NEG_INFINITY, f64::NAN])
+            .collect()
+    } else {
+        FINITE_EDGES.to_vec()
+    };
+    let mut state = seed | 1;
+    (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            if state & 7 == 0 {
+                pool[(state >> 3) as usize % pool.len()]
+            } else {
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
+            }
+        })
+        .collect()
+}
+
+/// `to_bits`, with every NaN mapped to one key: Rust leaves the sign and
+/// payload of a NaN produced by arithmetic unspecified, and the compiler
+/// may commute the operands of a multiply or add, so two kernels that
+/// make a NaN from the same sums in the same order may still differ in
+/// its sign bit.
+fn bits(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+/// Asserts `got` equals `oracle` bit for bit, entry by entry.
+fn assert_same_bits(got: &Matrix, oracle: &Matrix, what: &str) {
+    assert_eq!(got.shape(), oracle.shape(), "{what}: shape");
+    for i in 0..got.rows() {
+        for j in 0..got.cols() {
+            let (g, o) = (got[(i, j)], oracle[(i, j)]);
+            assert!(bits(g) == bits(o), "{what}: entry ({i}, {j}) is {g:e}, oracle {o:e}");
+        }
+    }
+}
+
+#[test]
+fn tiled_a_bt_kernels_bit_equal_the_serial_oracle_on_ragged_shapes() {
+    // n, m in 1..=13 and len in 0..=37 put full tiles, ragged tile
+    // edges, short lane tails and empty rows in one sweep; the oracle is
+    // the unblocked serial matmul on an explicit transpose.
+    forall!(cases = 256, (
+        seed in u64_range(1, u64::MAX - 1),
+        n in usize_range(1, 14),
+        m in usize_range(1, 14),
+        len in usize_range(0, 38),
+        threads in choice(vec![1_usize, 2, 4])
+    ) => {
+        let non_finite = seed % 3 == 0;
+        let a = Matrix::from_vec(n, len, edge_values(seed, n * len, non_finite)).unwrap();
+        let b = Matrix::from_vec(m, len, edge_values(seed ^ 0x5a5a, m * len, non_finite)).unwrap();
+        let got = with_threads(threads, || a.matmul_t(&b).unwrap());
+        assert_same_bits(&got, &a.matmul_serial(&b.transpose()).unwrap(), "matmul_t");
+        let gram = with_threads(threads, || a.gram());
+        assert_same_bits(&gram, &a.matmul_serial(&a.transpose()).unwrap(), "gram");
+    });
+}
+
+#[test]
+fn tiled_a_bt_kernels_bit_equal_the_serial_oracle_when_fanned_out() {
+    // Long rows push both kernels past their dispatch threshold, so the
+    // row blocks of `matmul_t` and the strided tile rows of `gram` run on
+    // the pool; ragged row counts and lengths keep tile edges and tails.
+    forall!(cases = 12, (
+        seed in u64_range(1, u64::MAX - 1),
+        n in usize_range(57, 71),
+        m in usize_range(29, 38),
+        len in usize_range(2001, 2006),
+        threads in choice(vec![1_usize, 2, 4])
+    ) => {
+        let a = Matrix::from_vec(n, len, edge_values(seed, n * len, false)).unwrap();
+        let b = Matrix::from_vec(m, len, edge_values(seed ^ 0x5a5a, m * len, false)).unwrap();
+        let got = with_threads(threads, || a.matmul_t(&b).unwrap());
+        assert_same_bits(&got, &a.matmul_serial(&b.transpose()).unwrap(), "matmul_t");
+        let gram = with_threads(threads, || a.gram());
+        assert_same_bits(&gram, &a.matmul_serial(&a.transpose()).unwrap(), "gram");
+    });
+}
+
+#[test]
+fn select_cols_bit_identical_across_thread_counts() {
+    // 400 rows × 330 kept columns: about 2 row blocks of the copy.
+    forall!(cases = 4, (m in matrix(400, 500, -10.0, 10.0)) => {
+        let sel: Vec<usize> = (0..330).map(|j| (j * 13) % m.cols()).collect();
+        let oracle = Matrix::from_fn(m.rows(), sel.len(), |i, c| m[(i, sel[c])]);
+        for threads in THREADS {
+            assert_eq!(with_threads(threads, || m.select_cols(&sel)), oracle,
+                       "select_cols diverged at {threads} threads");
+        }
+    });
+}
+
+#[test]
+#[should_panic(expected = "col index 500 out of bounds (500)")]
+fn select_cols_panics_on_an_out_of_range_index_when_the_copy_is_pooled() {
+    let m = Matrix::zeros(400, 500);
+    let mut sel: Vec<usize> = (0..330).collect();
+    sel.push(500);
+    with_threads(4, || m.select_cols(&sel));
+}
+
+#[test]
+fn normalizer_bit_equals_a_serial_two_pass_reference() {
+    // 40 rows × 5000 samples: the statistics and the standardized copy
+    // both run in about three row blocks. The reference is the plain
+    // serial form: row means, then deviations about them, then
+    // `(x − μ) · (1/σ)`.
+    forall!(cases = 4, (m in matrix(40, 5000, -10.0, 10.0)) => {
+        let n = m.cols() as f64;
+        let means: Vec<f64> = (0..m.rows()).map(|i| m.row(i).iter().sum::<f64>() / n).collect();
+        let stds: Vec<f64> = (0..m.rows())
+            .map(|i| {
+                let mu = means[i];
+                (m.row(i).iter().map(|&x| (x - mu) * (x - mu)).sum::<f64>() / n).sqrt()
+            })
+            .collect();
+        let z_ref =
+            Matrix::from_fn(m.rows(), m.cols(), |i, j| (m[(i, j)] - means[i]) * (1.0 / stds[i]));
+        for threads in THREADS {
+            let norm = with_threads(threads, || Normalizer::fit(&m));
+            let z = with_threads(threads, || norm.apply(&m).unwrap());
+            let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(to_bits(norm.means()), to_bits(&means), "means at {threads} threads");
+            assert_eq!(to_bits(norm.stds()), to_bits(&stds), "stds at {threads} threads");
+            assert_same_bits(&z, &z_ref, "normalizer apply");
+        }
     });
 }

@@ -1,8 +1,13 @@
 use voltsense_floorplan::{BlockId, ChipFloorplan, NodeId, NodeSite};
 use voltsense_linalg::Matrix;
+use voltsense_parallel as parallel;
 use voltsense_powergrid::SampledMaps;
 
 use super::ScenarioError;
+
+/// Minimum values a row-parallel copy task must move before the fill
+/// fans out; below this the pool's dispatch costs more than the copy.
+const PAR_TASK_ELEMS: usize = 1 << 16;
 
 /// Where sensor candidates may live.
 ///
@@ -58,18 +63,47 @@ pub struct ScenarioData {
 }
 
 /// The waveforms of `nodes` across every benchmark: row `i` is node
-/// `nodes[i]`'s samples from each benchmark in turn. The matrix is sized
-/// once and filled in place, so assembly holds only the maps and the
-/// result (the design path's memory peak, DESIGN.md §5).
+/// `nodes[i]`'s samples from each benchmark in turn. The calling thread
+/// sizes the matrix once and the pool fills disjoint row blocks straight
+/// from the maps, so assembly holds only the maps and the result (the
+/// design path's memory peak, DESIGN.md §5) and no buffer is allocated
+/// on a worker.
 fn concat_node_rows(maps: &[(usize, SampledMaps)], nodes: &[NodeId]) -> Matrix {
     let total: usize = maps.iter().map(|(_, m)| m.num_samples()).sum();
-    let mut data = Vec::with_capacity(nodes.len() * total);
-    for node in nodes {
-        for (_, m) in maps {
-            data.extend_from_slice(m.maps().row(node.0));
+    let mut out = Matrix::zeros(nodes.len(), total);
+    let min_rows = PAR_TASK_ELEMS.div_ceil(total.max(1));
+    parallel::for_each_row_block(out.as_mut_slice(), total, min_rows, |first, block| {
+        for (row, node) in block.chunks_mut(total).zip(&nodes[first..]) {
+            let mut rest = row;
+            for (_, m) in maps {
+                let (head, tail) = rest.split_at_mut(m.num_samples());
+                head.copy_from_slice(m.maps().row(node.0));
+                rest = tail;
+            }
         }
-    }
-    Matrix::from_vec(nodes.len(), total, data).expect("one row of `total` samples per node")
+    });
+    out
+}
+
+/// Lowest voltage each node reaches across every benchmark, one task per
+/// block of nodes on the pool; each node scans the maps in order, as a
+/// serial scan would.
+fn node_minima(maps: &[(usize, SampledMaps)], num_nodes: usize) -> Vec<f64> {
+    let mut node_min = vec![f64::INFINITY; num_nodes];
+    let samples: usize = maps.iter().map(|(_, m)| m.num_samples()).sum();
+    let min_nodes = PAR_TASK_ELEMS.div_ceil(samples.max(1));
+    parallel::for_each_row_block(&mut node_min, 1, min_nodes, |first, block| {
+        for (node, nm) in (first..).zip(block.iter_mut()) {
+            for (_, m) in maps {
+                for &v in m.maps().row(node) {
+                    if v < *nm {
+                        *nm = v;
+                    }
+                }
+            }
+        }
+    });
+    node_min
 }
 
 impl ScenarioData {
@@ -120,16 +154,7 @@ impl ScenarioData {
         // Global per-node minimum over all benchmarks → critical nodes.
         let lattice = chip.lattice();
         let blocks = chip.blocks();
-        let mut node_min = vec![f64::INFINITY; num_nodes];
-        for (_, m) in maps {
-            for (node, nm) in node_min.iter_mut().enumerate() {
-                for &v in m.maps().row(node) {
-                    if v < *nm {
-                        *nm = v;
-                    }
-                }
-            }
-        }
+        let node_min = node_minima(maps, num_nodes);
         let mut critical_nodes = Vec::new();
         let mut row_blocks = Vec::new();
         for b in blocks {
