@@ -190,11 +190,16 @@ impl EagleEyePlacement {
             });
         }
 
-        // Emergency samples: any critical node below threshold.
+        // Emergency samples: any critical node below threshold. One pass
+        // over F's rows flags them, then they are listed in ascending order.
         let thr = config.emergency_threshold;
-        let emergencies: Vec<usize> = (0..n)
-            .filter(|&s| (0..f.rows()).any(|k| f[(k, s)] < thr))
-            .collect();
+        let mut emergency = vec![false; n];
+        for k in 0..f.rows() {
+            for (flag, &v) in emergency.iter_mut().zip(f.row(k)) {
+                *flag |= v < thr;
+            }
+        }
+        let emergencies: Vec<usize> = (0..n).filter(|&s| emergency[s]).collect();
 
         // Per-candidate alarm sets over emergency samples, and worst-noise
         // statistic for tie-breaks / fallback.

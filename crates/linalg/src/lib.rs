@@ -29,7 +29,10 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one exception is the run-time AVX2 dispatch
+// of the lane kernels in `matrix.rs`, which calls each `#[target_feature]`
+// twin in an `unsafe` block right after `is_x86_feature_detected!`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod decomp;

@@ -10,7 +10,10 @@
 //! indefinite/singular (collinear predictors), it falls back to Householder
 //! QR on the centered design, and as a last resort adds a tiny ridge.
 
+use voltsense_parallel as parallel;
+
 use crate::decomp::{Cholesky, Qr};
+use crate::matrix::PAR_TASK_ELEMS;
 use crate::stats;
 use crate::{LinalgError, Matrix};
 
@@ -183,13 +186,20 @@ fn ridge_fallback(gram: &mut Matrix, fxt: &Matrix, p: usize) -> Result<Matrix, L
     Ok(at.transpose())
 }
 
+/// `x − μ` row by row, written straight into one fresh matrix (row
+/// blocks on the pool, as in `Normalizer::apply`).
 fn centered(m: &Matrix, means: &[f64]) -> Matrix {
-    let mut out = m.clone();
-    for (i, &mu) in means.iter().enumerate() {
-        for v in out.row_mut(i) {
-            *v -= mu;
+    let cols = m.cols();
+    let mut out = Matrix::zeros(m.rows(), cols);
+    let min_rows = PAR_TASK_ELEMS.div_ceil(cols.max(1));
+    parallel::for_each_row_block(out.as_mut_slice(), cols, min_rows, |first, block| {
+        for (i, orow) in (first..).zip(block.chunks_mut(cols)) {
+            let mu = means[i];
+            for (o, &v) in orow.iter_mut().zip(m.row(i)) {
+                *o = v - mu;
+            }
         }
-    }
+    });
     out
 }
 

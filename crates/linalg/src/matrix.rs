@@ -25,18 +25,92 @@ pub(crate) const PAR_TASK_ELEMS: usize = 1 << 16;
 /// `acc += ((p0 + p1) + p2) + p3` (products in ascending index order),
 /// then folds the `len % LANE` tail one product at a time, ascending.
 /// DESIGN.md §8.4 names this the *lane identity*: any kernel in this
-/// module — serial, blocked, or parallel — must produce exactly these
-/// bits for each output entry, which is what keeps the blocked parallel
-/// kernels bit-identical to their serial oracles and a batched GEMM row
-/// bit-identical to the equivalent `matvec`.
+/// module — serial, blocked, parallel, or built for wider registers —
+/// must produce exactly these bits for each output entry, which is what
+/// keeps the blocked parallel kernels bit-identical to their serial
+/// oracles and a batched GEMM row bit-identical to the equivalent
+/// `matvec`.
 const LANE: usize = 4;
+
+/// Defines a row-block kernel `$name` from one `#[inline(always)]` body
+/// `$body`, built twice: for the baseline target and, on x86_64, as the
+/// twin `$wide` compiled with AVX2 enabled. `$name` picks the twin at run
+/// time when the CPU has AVX2, so callers dispatch once per public call
+/// or per pool row block, never per inner row.
+///
+/// The twin runs the same IEEE multiplies and adds in the same order —
+/// AVX2 does not include FMA, `mul_add` is never written, and Rust never
+/// contracts `a * b + c` on its own — so both builds return the same bits
+/// by construction; the wider registers only change how many lanes each
+/// instruction carries.
+macro_rules! avx2_dispatch {
+    ($(#[$doc:meta])* fn $name:ident => $body:ident / $wide:ident
+        ($($arg:ident: $ty:ty),* $(,)?)) => {
+        $(#[$doc])*
+        #[inline]
+        fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: `$wide` is safe code whose only requirement is
+                // that the CPU supports AVX2, which the check above confirmed.
+                #[allow(unsafe_code)]
+                unsafe {
+                    $wide($($arg),*)
+                };
+                return;
+            }
+            $body($($arg),*)
+        }
+
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        fn $wide($($arg: $ty),*) {
+            $body($($arg),*)
+        }
+    };
+}
+
+avx2_dispatch! {
+    /// Adds `a · rhs` into `block`, where `a` holds whole rows `a_cols`
+    /// wide and `block` the matching rows of width `rhs.cols()`, zeroed
+    /// by the caller: the row-block body of [`Matrix::matmul_into`] and,
+    /// with `a` one row, of [`Matrix::vecmat_into`].
+    fn gemm_rows => gemm_rows_body / gemm_rows_avx2(
+        a: &[f64],
+        a_cols: usize,
+        rhs: &Matrix,
+        block: &mut [f64],
+    )
+}
+
+avx2_dispatch! {
+    /// Rows `first..` of `m · v` into `block`: the row-block body of
+    /// [`Matrix::matvec_into`].
+    fn matvec_rows => matvec_rows_body / matvec_rows_avx2(
+        m: &Matrix,
+        v: &[f64],
+        first: usize,
+        block: &mut [f64],
+    )
+}
+
+avx2_dispatch! {
+    /// Rows `first..` of `a · bᵀ` into `block`; see [`fill_t_rows_body`].
+    fn fill_t_rows => fill_t_rows_body / fill_t_rows_avx2(
+        a: &Matrix,
+        b: &Matrix,
+        first: usize,
+        block: &mut [f64],
+        upper: bool,
+    )
+}
 
 /// Dot product under the lane identity (see [`LANE`]): aligned chunks of
 /// four fused products, then the ascending scalar tail. Both slices must
 /// have equal length. The shorter dependency chain (one add per four
 /// products) is what lets the compiler keep multiple multiplies in
 /// flight; the fixed association is what keeps the result reproducible.
-#[inline]
+#[inline(always)]
 fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let head = a.len() & !(LANE - 1);
@@ -97,7 +171,8 @@ fn tile_dots(a: [&[f64]; TILE], b: [&[f64]; TILE]) -> [[f64; TILE]; TILE] {
 /// mirror overwrites). A ragged tile at the last rows or columns repeats
 /// its last row and keeps only its real entries: every entry is its own
 /// lane-identity dot, so the bits do not depend on where the tiles fall.
-fn fill_t_rows(a: &Matrix, b: &Matrix, first: usize, block: &mut [f64], upper: bool) {
+#[inline(always)]
+fn fill_t_rows_body(a: &Matrix, b: &Matrix, first: usize, block: &mut [f64], upper: bool) {
     let width = b.rows;
     if width == 0 {
         return;
@@ -125,7 +200,7 @@ fn fill_t_rows(a: &Matrix, b: &Matrix, first: usize, block: &mut [f64], upper: b
 /// index 0 across the k-blocks of a blocked caller; summed over all
 /// blocks from a zeroed `out`, each entry is the [`dot_lanes`] of `a`
 /// with a column of `rhs`.
-#[inline]
+#[inline(always)]
 fn accumulate_rows(a: &[f64], rhs: &Matrix, kb: usize, kend: usize, out: &mut [f64]) {
     debug_assert_eq!(kb % LANE, 0);
     let lanes_end = kb + ((kend - kb) & !(LANE - 1));
@@ -147,6 +222,32 @@ fn accumulate_rows(a: &[f64], rhs: &Matrix, kb: usize, kend: usize, out: &mut [f
             *o += ak * r;
         }
         k += 1;
+    }
+}
+
+/// [`gemm_rows`]: for each `MATMUL_K_BLOCK` of `rhs` rows, every row of
+/// `a` (`a_cols` wide) accumulates into its row of `block` while the
+/// block is hot in cache. `MATMUL_K_BLOCK` is a multiple of `LANE`, so
+/// the blocks keep each entry's lane identity.
+#[inline(always)]
+fn gemm_rows_body(a: &[f64], a_cols: usize, rhs: &Matrix, block: &mut [f64]) {
+    if rhs.cols == 0 {
+        return;
+    }
+    for kb in (0..a_cols).step_by(MATMUL_K_BLOCK) {
+        let kend = (kb + MATMUL_K_BLOCK).min(a_cols);
+        for (arow, orow) in a.chunks_exact(a_cols).zip(block.chunks_mut(rhs.cols)) {
+            accumulate_rows(arow, rhs, kb, kend, orow);
+        }
+    }
+}
+
+/// [`matvec_rows`]: each entry of `block` is the [`dot_lanes`] of its row
+/// of `m` with `v`.
+#[inline(always)]
+fn matvec_rows_body(m: &Matrix, v: &[f64], first: usize, block: &mut [f64]) {
+    for (i, o) in (first..).zip(block.iter_mut()) {
+        *o = dot_lanes(m.row(i), v);
     }
 }
 
@@ -516,12 +617,9 @@ impl Matrix {
         let n = rhs.cols;
         let min_rows = PAR_TASK_FLOPS.div_ceil((self.cols * n).max(1));
         parallel::for_each_row_block(&mut out.data, n, min_rows, |first, block| {
-            for kb in (0..self.cols).step_by(MATMUL_K_BLOCK) {
-                let kend = (kb + MATMUL_K_BLOCK).min(self.cols);
-                for (local, orow) in block.chunks_mut(n).enumerate() {
-                    accumulate_rows(self.row(first + local), rhs, kb, kend, orow);
-                }
-            }
+            let rows = block.len() / n;
+            let a = &self.data[first * self.cols..(first + rows) * self.cols];
+            gemm_rows(a, self.cols, rhs, block);
         });
         Ok(())
     }
@@ -599,7 +697,7 @@ impl Matrix {
             });
         }
         out.fill(0.0);
-        accumulate_rows(v, self, 0, self.rows, out);
+        gemm_rows(v, self.rows, self, out);
         Ok(())
     }
 
@@ -759,9 +857,7 @@ impl Matrix {
         }
         let min_rows = PAR_TASK_FLOPS.div_ceil(self.cols.max(1));
         parallel::for_each_row_block(out, 1, min_rows, |first, block| {
-            for (local, o) in block.iter_mut().enumerate() {
-                *o = dot_lanes(self.row(first + local), v);
-            }
+            matvec_rows(self, v, first, block);
         });
         Ok(())
     }
@@ -1152,5 +1248,174 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.frobenius_norm(), 0.0);
         assert_eq!(m.max_abs(), 0.0);
+    }
+}
+
+/// The dispatched kernels against their baseline-compiled bodies. On an
+/// AVX2 host each dispatcher runs its `#[target_feature]` twin, while a
+/// test calling `*_body` directly inlines the baseline build, so every
+/// comparison below is twin against body, bit for bit.
+#[cfg(test)]
+mod avx2_twin_tests {
+    use super::*;
+    use voltsense_parallel::with_threads;
+    use voltsense_testkit::{choice, forall, u64_range, usize_range};
+
+    /// `true` when the dispatchers pick the AVX2 twins; otherwise says
+    /// the comparison was skipped.
+    fn twins_run(test: &str) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return true;
+        }
+        eprintln!("{test}: skipped, this host has no AVX2 twin to compare");
+        false
+    }
+
+    /// Finite edge values: signed zeros, the smallest and largest
+    /// subnormals, and magnitudes whose products overflow to ±∞.
+    const FINITE_EDGES: [f64; 8] = [
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        -f64::from_bits(0x000f_ffff_ffff_ffff),
+        1e300,
+        -1e300,
+    ];
+
+    /// One value in eight from the edge pool (plus ±∞ and NaN with
+    /// `non_finite`), the rest uniform in `[-2, 2)`.
+    fn edge_values(seed: u64, n: usize, non_finite: bool) -> Vec<f64> {
+        let mut pool = FINITE_EDGES.to_vec();
+        if non_finite {
+            pool.extend([f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        }
+        let mut state = seed | 1;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state & 7 == 0 {
+                    pool[(state >> 3) as usize % pool.len()]
+                } else {
+                    (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
+                }
+            })
+            .collect()
+    }
+
+    /// Asserts equal bits entry by entry, every NaN mapped to one key
+    /// (Rust leaves a computed NaN's sign and payload unspecified).
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        let key = |x: f64| {
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        };
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                key(g) == key(w),
+                "{what}: entry {i} is {g:e}, baseline {w:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn avx2_twins_bit_equal_the_baseline_bodies_on_ragged_shapes() {
+        if !twins_run("avx2_twins_bit_equal_the_baseline_bodies_on_ragged_shapes") {
+            return;
+        }
+        // n, m in 1..=13 and len in 0..=37: full and ragged tiles, short
+        // lane tails, rows shorter than one lane chunk and empty rows.
+        forall!(cases = 256, (
+            seed in u64_range(1, u64::MAX - 1),
+            n in usize_range(1, 14),
+            m in usize_range(1, 14),
+            len in usize_range(0, 38),
+            first in usize_range(0, 13)
+        ) => {
+            let non_finite = seed % 3 == 0;
+            let first = first % n;
+            let a = Matrix::from_vec(n, len, edge_values(seed, n * len, non_finite)).unwrap();
+            let b = Matrix::from_vec(m, len, edge_values(seed ^ 0x5a5a, m * len, non_finite)).unwrap();
+            let rhs = b.transpose();
+            let rows = &a.as_slice()[first * len..];
+
+            let (mut got, mut want) = (vec![0.0; (n - first) * m], vec![0.0; (n - first) * m]);
+            gemm_rows(rows, len, &rhs, &mut got);
+            gemm_rows_body(rows, len, &rhs, &mut want);
+            assert_same_bits(&got, &want, "gemm_rows");
+
+            let v = edge_values(seed ^ 0xa5a5, len, non_finite);
+            let (mut got, mut want) = (vec![0.0; n - first], vec![0.0; n - first]);
+            matvec_rows(&a, &v, first, &mut got);
+            matvec_rows_body(&a, &v, first, &mut want);
+            assert_same_bits(&got, &want, "matvec_rows");
+
+            let (mut got, mut want) = (vec![0.0; (n - first) * m], vec![0.0; (n - first) * m]);
+            fill_t_rows(&a, &b, first, &mut got, false);
+            fill_t_rows_body(&a, &b, first, &mut want, false);
+            assert_same_bits(&got, &want, "fill_t_rows");
+
+            let (mut got, mut want) = (vec![0.0; (n - first) * n], vec![0.0; (n - first) * n]);
+            fill_t_rows(&a, &a, first, &mut got, true);
+            fill_t_rows_body(&a, &a, first, &mut want, true);
+            assert_same_bits(&got, &want, "fill_t_rows (upper)");
+        });
+    }
+
+    #[test]
+    fn avx2_twins_bit_equal_the_baseline_bodies_when_fanned_out() {
+        if !twins_run("avx2_twins_bit_equal_the_baseline_bodies_when_fanned_out") {
+            return;
+        }
+        // Lengths past every kernel's dispatch threshold: the public
+        // kernels run their twins once per pool row block, the reference
+        // runs each baseline body once over all the rows.
+        forall!(cases = 6, (
+            seed in u64_range(1, u64::MAX - 1),
+            n in usize_range(57, 71),
+            m in usize_range(29, 38),
+            len in usize_range(2001, 2006),
+            threads in choice(vec![1_usize, 2, 4])
+        ) => {
+            let a = Matrix::from_vec(n, len, edge_values(seed, n * len, false)).unwrap();
+            let b = Matrix::from_vec(m, len, edge_values(seed ^ 0x5a5a, m * len, false)).unwrap();
+            let rhs = b.transpose();
+
+            let got = with_threads(threads, || a.matmul(&rhs).unwrap());
+            let mut want = vec![0.0; n * m];
+            gemm_rows_body(a.as_slice(), len, &rhs, &mut want);
+            assert_same_bits(got.as_slice(), &want, "matmul");
+
+            let got = with_threads(threads, || a.matmul_t(&b).unwrap());
+            let mut want = vec![0.0; n * m];
+            fill_t_rows_body(&a, &b, 0, &mut want, false);
+            assert_same_bits(got.as_slice(), &want, "matmul_t");
+
+            let got = with_threads(threads, || a.gram());
+            let mut want = Matrix::zeros(n, n);
+            fill_t_rows_body(&a, &a, 0, want.as_mut_slice(), true);
+            for i in 1..n {
+                for j in 0..i {
+                    want[(i, j)] = want[(j, i)];
+                }
+            }
+            assert_same_bits(got.as_slice(), want.as_slice(), "gram");
+
+            let tall = edge_values(seed ^ 0x3c3c, len * 200, false);
+            let tall = Matrix::from_vec(len, 200, tall).unwrap();
+            let v = edge_values(seed ^ 0xa5a5, 200, false);
+            let got = with_threads(threads, || tall.matvec(&v).unwrap());
+            let mut want = vec![0.0; len];
+            matvec_rows_body(&tall, &v, 0, &mut want);
+            assert_same_bits(&got, &want, "matvec");
+        });
     }
 }
