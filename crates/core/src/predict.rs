@@ -1,9 +1,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use voltsense_linalg::lstsq::{self, LinearFit};
+use voltsense_linalg::lstsq::{self, LinearFit, Moments};
 use voltsense_linalg::Matrix;
-use voltsense_parallel as parallel;
 use voltsense_telemetry as telemetry;
 
 use crate::selection::SelectionResult;
@@ -440,17 +439,21 @@ impl VoltageMapModel {
 
 /// A [`VoltageMapModel`] hardened against sensor loss: alongside the
 /// primary Q-sensor fit it pre-fits the whole leave-one-sensor-out fallback
-/// family (Q extra OLS refits on the same training matrices) plus a
-/// cross-prediction model per sensor (each sensor's reading predicted from
-/// the other Q−1), so the runtime monitor can score sensor health and
-/// hot-swap a fallback the moment a sensor is flagged.
+/// family (Q extra OLS refits) plus a cross-prediction model per sensor
+/// (each sensor's reading predicted from the other Q−1), so the runtime
+/// monitor can score sensor health and hot-swap a fallback the moment a
+/// sensor is flagged.
 ///
-/// Multi-failure fallbacks (2+ sensors down at once) are fitted lazily on
-/// first use and cached, keyed by the excluded set.
+/// Every refit is a solve on a sub-block of one set of centred second
+/// moments ([`Moments`]: `Q×Q`, `K×Q` and the means, formed once from the
+/// training data), so the model keeps nothing of size `N`. Multi-failure
+/// fallbacks (2+ sensors down at once) are solved lazily on first use —
+/// microseconds, not a pass over the data — and cached, keyed by the
+/// excluded set.
 ///
 /// Everything fitted up front is one immutable block that clones share:
-/// cloning a fitted model (one per fault-aware monitor) copies no training
-/// matrix. Only the lazy caches belong to the instance.
+/// cloning a fitted model (one per fault-aware monitor) copies none of it.
+/// Only the lazy caches belong to the instance.
 #[derive(Debug, Clone)]
 pub struct FaultTolerantModel {
     fitted: Arc<FaultFit>,
@@ -467,10 +470,8 @@ pub struct FaultTolerantModel {
 #[derive(Debug)]
 struct FaultFit {
     primary: VoltageMapModel,
-    /// `Q x N` training readings of the placed sensors.
-    x_sel: Matrix,
-    /// `K x N` training targets, kept for lazy multi-failure refits.
-    f_train: Matrix,
+    /// Moments of the targets on the placed sensors, for every refit.
+    moments: Moments,
     /// `fallbacks[i]` predicts all targets without sensor `i` (empty when
     /// `Q == 1` — there is nothing to fall back to).
     fallbacks: Vec<LinearFit>,
@@ -495,36 +496,29 @@ pub struct CrossFamily {
     sensors: Vec<usize>,
     /// Reading-vector length these models expect.
     num_sensors_total: usize,
-    /// `fits[local]` predicts `sensors[local]` from the rest, with its
-    /// training RMS residual.
-    fits: Vec<(LinearFit, f64)>,
+    /// `fits[local]` predicts `sensors[local]` from the rest.
+    fits: Vec<LinearFit>,
     /// Unit-norm residual signatures, indexed like `sensors`.
     signatures: Vec<Vec<f64>>,
 }
 
 impl CrossFamily {
-    fn fit(x_sel: &Matrix, sensors: &[usize]) -> Result<Self, CoreError> {
+    fn fit(moments: &Moments, sensors: &[usize]) -> Result<Self, CoreError> {
         debug_assert!(sensors.len() >= 2, "caller guarantees two survivors");
         let n = sensors.len();
-        // Each cross-model is an independent OLS problem on the same
-        // training matrix, so the per-sensor fits fan out; the ordered
-        // collect keeps the first error deterministic.
-        let locals: Vec<usize> = (0..n).collect();
-        let fits = parallel::par_map(&locals, |&local| -> Result<(LinearFit, f64), CoreError> {
-            let others: Vec<usize> = sensors
-                .iter()
-                .enumerate()
-                .filter(|&(l, _)| l != local)
-                .map(|(_, &j)| j)
-                .collect();
-            let x_others = x_sel.select_rows(&others);
-            let target = x_sel.select_rows(&[sensors[local]]);
-            let fit = lstsq::ols_with_intercept(&x_others, &target)?;
-            let rms = fit.rms_residual;
-            Ok((fit, rms))
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        let fits = sensors
+            .iter()
+            .enumerate()
+            .map(|(local, &target)| {
+                let others: Vec<usize> = sensors
+                    .iter()
+                    .enumerate()
+                    .filter(|&(l, _)| l != local)
+                    .map(|(_, &j)| j)
+                    .collect();
+                moments.fit_predictor(target, &others)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let mut signatures = Vec::with_capacity(n);
         for k in 0..n {
             let mut sig = vec![0.0; n];
@@ -538,7 +532,7 @@ impl CrossFamily {
                     .filter(|&l| l != i)
                     .position(|l| l == k)
                     .expect("k != i, so k is among i's predictors");
-                sig[i] = -fits[i].0.coefficients[(0, pos)];
+                sig[i] = -fits[i].coefficients[(0, pos)];
             }
             let norm = sig.iter().map(|v| v * v).sum::<f64>().sqrt();
             if norm > 0.0 {
@@ -548,7 +542,7 @@ impl CrossFamily {
         }
         Ok(CrossFamily {
             sensors: sensors.to_vec(),
-            num_sensors_total: x_sel.rows(),
+            num_sensors_total: moments.num_predictors(),
             fits,
             signatures,
         })
@@ -561,7 +555,7 @@ impl CrossFamily {
 
     /// Training RMS residual of the cross-model for `sensors()[local]`.
     pub fn rms(&self, local: usize) -> f64 {
-        self.fits[local].1
+        self.fits[local].rms_residual
     }
 
     /// Cross-prediction residuals (`reading − predicted-from-peers`) for
@@ -591,7 +585,7 @@ impl CrossFamily {
                 .filter(|&(l, _)| l != local)
                 .map(|(_, &j)| readings[j])
                 .collect();
-            let pred = self.fits[local].0.predict(&others)?[0];
+            let pred = self.fits[local].predict(&others)?[0];
             out.push(readings[s] - pred);
         }
         Ok(out)
@@ -621,39 +615,38 @@ impl FaultTolerantModel {
     /// Fits the primary model plus the fallback and cross-prediction
     /// families.
     ///
+    /// The primary is [`VoltageMapModel::fit`] on the data; every other
+    /// fit is a solve on a sub-block of the [`Moments`] of `f` on the
+    /// placed sensors. Where the sub-block's Cholesky factor exists, that
+    /// solve has the bits of `ols_with_intercept` on the surviving rows;
+    /// collinear survivors get the ridge fallback.
+    ///
     /// # Errors
     ///
-    /// Same conditions as [`VoltageMapModel::fit`]; every auxiliary fit
-    /// uses the same training matrices, so it can only add least-squares
-    /// failures on degenerate data.
+    /// Same conditions as [`VoltageMapModel::fit`]; the auxiliary fits
+    /// can only add least-squares failures on degenerate data.
     pub fn fit(x: &Matrix, f: &Matrix, sensors: &[usize]) -> Result<Self, CoreError> {
         let _span = telemetry::span("core.fault_tolerant_fit");
         let primary = VoltageMapModel::fit(x, f, sensors)?;
-        let x_sel = x.select_rows(sensors);
+        let moments = Moments::new(&x.select_rows(sensors), f)?;
         let q = sensors.len();
         let mut fallbacks = Vec::new();
         let mut cross_all = None;
         if q > 1 {
-            // The Q leave-one-out fallback fits are independent OLS solves
-            // on row subsets of the same training data — fan them out and
-            // stitch the results back in exclusion order.
-            let exclusions: Vec<usize> = (0..q).collect();
-            fallbacks = parallel::par_map(&exclusions, |&i| -> Result<LinearFit, CoreError> {
-                let others: Vec<usize> = (0..q).filter(|&j| j != i).collect();
-                let x_others = x_sel.select_rows(&others);
-                Ok(lstsq::ols_with_intercept(&x_others, f)?)
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
+            fallbacks = (0..q)
+                .map(|i| {
+                    let others: Vec<usize> = (0..q).filter(|&j| j != i).collect();
+                    moments.fit(&others)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
             telemetry::counter("core.fallback_fits", q as u64);
             let all: Vec<usize> = (0..q).collect();
-            cross_all = Some(CrossFamily::fit(&x_sel, &all)?);
+            cross_all = Some(CrossFamily::fit(&moments, &all)?);
         }
         Ok(FaultTolerantModel {
             fitted: Arc::new(FaultFit {
                 primary,
-                x_sel,
-                f_train: f.clone(),
+                moments,
                 fallbacks,
                 cross_all,
             }),
@@ -675,33 +668,6 @@ impl FaultTolerantModel {
     /// The pre-fitted leave-`i`-out fallback, or `None` when `Q == 1`.
     pub fn leave_one_out(&self, i: usize) -> Option<&LinearFit> {
         self.fitted.fallbacks.get(i)
-    }
-
-    /// Predicts sensor `i`'s reading from the other sensors' entries of
-    /// `readings` (the full Q-vector; entry `i` itself is ignored). `None`
-    /// when `Q == 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ShapeMismatch`] on a wrong-length vector or an
-    /// out-of-range sensor index.
-    pub fn cross_predict(&self, i: usize, readings: &[f64]) -> Result<Option<f64>, CoreError> {
-        let q = self.num_sensors();
-        if readings.len() != q {
-            return Err(CoreError::ShapeMismatch {
-                what: format!("expected {q} readings, got {}", readings.len()),
-            });
-        }
-        if i >= q {
-            return Err(CoreError::ShapeMismatch {
-                what: format!("sensor position {i} out of range for {q} sensors"),
-            });
-        }
-        let Some(family) = &self.fitted.cross_all else {
-            return Ok(None);
-        };
-        let residuals = family.residuals(readings)?;
-        Ok(Some(readings[i] - residuals[i]))
     }
 
     /// Training RMS residual of sensor `i`'s cross-prediction model, or
@@ -737,7 +703,7 @@ impl FaultTolerantModel {
         if !self.cross_cache.contains_key(&key) {
             telemetry::counter("core.cross_family_fits", 1);
             let survivors: Vec<usize> = (0..q).filter(|i| !key.contains(i)).collect();
-            let family = CrossFamily::fit(&self.fitted.x_sel, &survivors)?;
+            let family = CrossFamily::fit(&self.fitted.moments, &survivors)?;
             self.cross_cache.insert(key.clone(), family);
         }
         Ok(self.cross_cache.get(&key))
@@ -749,7 +715,8 @@ impl FaultTolerantModel {
     ///
     /// With an empty exclusion this is exactly the primary model; with one
     /// exclusion it is the pre-fitted leave-one-out fallback; with more it
-    /// fits (once) and caches an OLS refit on the surviving sensors.
+    /// solves (once) and caches the OLS refit on the surviving sensors from
+    /// the fitted moments.
     ///
     /// # Errors
     ///
@@ -797,8 +764,7 @@ impl FaultTolerantModel {
         }
         if !self.multi_cache.contains_key(&key) {
             telemetry::counter("core.multi_exclusion_refits", 1);
-            let x_surv = self.fitted.x_sel.select_rows(&survivors);
-            let fit = lstsq::ols_with_intercept(&x_surv, &self.fitted.f_train)?;
+            let fit = self.fitted.moments.fit(&survivors)?;
             self.multi_cache.insert(key.clone(), fit);
         }
         let fit = self.multi_cache.get(&key).expect("inserted above");
@@ -853,6 +819,8 @@ mod tests {
     use super::*;
     use crate::SelectionProblem;
     use voltsense_grouplasso::GlOptions;
+    use voltsense_linalg::decomp::Cholesky;
+    use voltsense_parallel as parallel;
     use voltsense_testkit::{choice, forall, u64_range, usize_range};
 
     /// f0 = 0.9·x0 + 0.05, f1 = 0.5·x0 + 0.5·x2 (noiseless).
@@ -1121,15 +1089,15 @@ mod tests {
         // Sensors 0 and 2 are driven by smooth signals; the cross fit on
         // noiseless training data predicts each from the others closely.
         let (x, f) = training();
-        let ft = FaultTolerantModel::fit(&x, &f, &[0, 1, 2]).unwrap();
+        let mut ft = FaultTolerantModel::fit(&x, &f, &[0, 1, 2]).unwrap();
+        let family = ft.cross_family(&[]).unwrap().unwrap();
         for s in [0usize, 7, 19] {
             let readings: Vec<f64> = (0..3).map(|i| x[(i, s)]).collect();
-            for i in 0..3 {
-                let pred = ft.cross_predict(i, &readings).unwrap().unwrap();
-                let rms = ft.cross_rms(i).unwrap();
+            let residuals = family.residuals(&readings).unwrap();
+            for (i, r) in residuals.iter().enumerate() {
                 assert!(
-                    (pred - readings[i]).abs() <= 6.0 * rms + 1e-6,
-                    "sensor {i} sample {s}: pred {pred} vs {}",
+                    r.abs() <= 6.0 * family.rms(i) + 1e-6,
+                    "sensor {i} sample {s}: residual {r} against {}",
                     readings[i]
                 );
             }
@@ -1137,11 +1105,136 @@ mod tests {
     }
 
     #[test]
+    fn noiseless_cross_residuals_are_clamped_finite() {
+        // Noiseless training leaves Σ f̄² − tr(α·Sfxᵀ) at rounding level,
+        // where the difference can come out negative.
+        let (x, f) = training();
+        let ft = FaultTolerantModel::fit(&x, &f, &[0, 1, 2]).unwrap();
+        for i in 0..3 {
+            let rms = ft.cross_rms(i).unwrap();
+            assert!(rms.is_finite() && rms >= 0.0, "sensor {i}: cross rms {rms}");
+        }
+    }
+
+    #[test]
+    fn duplicated_sensor_signal_takes_the_ridge_fallback() {
+        // Candidate 3 reads exactly what candidate 0 reads, so every fit
+        // with both as predictors has a singular Gram block.
+        let (x3, f) = training();
+        let x = Matrix::from_fn(4, x3.cols(), |i, s| x3[(i % 3, s)]);
+        let mut ft = FaultTolerantModel::fit(&x, &f, &[0, 3, 2]).unwrap();
+        for s in [0usize, 7, 19] {
+            let readings = [x[(0, s)], x[(3, s)], x[(2, s)]];
+            // Without sensor 2 only f0 = 0.9·x0 + 0.05 is achievable.
+            for excluded in [&[2][..], &[1, 2], &[0, 2]] {
+                let pred = ft.predict_excluding(&readings, excluded).unwrap();
+                assert!(pred.iter().all(|v| v.is_finite()), "{excluded:?}: {pred:?}");
+                assert!((pred[0] - f[(0, s)]).abs() < 1e-6, "{excluded:?}: {pred:?}");
+            }
+            // Sensor 2's cross-model predicts it from the duplicated pair.
+            let family = ft.cross_family(&[]).unwrap().unwrap();
+            let residuals = family.residuals(&readings).unwrap();
+            assert!(residuals.iter().all(|r| r.is_finite()), "{residuals:?}");
+            assert!(residuals[0].abs() < 1e-6 && residuals[1].abs() < 1e-6, "{residuals:?}");
+        }
+    }
+
+    /// `n` samples of `p` distinct noisy traces about 0.95 V, and `k`
+    /// noisy blends of them, from one xorshift stream.
+    fn random_training(seed: u64, p: usize, k: usize, n: usize) -> (Matrix, Matrix) {
+        let mut state = seed | 1;
+        let mut uniform = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let x = Matrix::from_fn(p, n, |_, _| 0.95 + 0.04 * uniform());
+        let weights = Matrix::from_fn(k, p, |_, _| uniform());
+        let mut f = weights.matmul(&x).unwrap();
+        f.as_mut_slice().iter_mut().for_each(|v| *v += 0.01 * uniform());
+        (x, f)
+    }
+
+    /// The data-path reference: `ols_with_intercept` on `rows` of `x`,
+    /// or `None` where its Gram matrix has no Cholesky factor (there the
+    /// data path takes QR and the moment path the ridge).
+    fn data_fit(x: &Matrix, f: &Matrix, rows: &[usize]) -> Option<LinearFit> {
+        let xs = x.select_rows(rows);
+        let means = voltsense_linalg::stats::row_means(&xs);
+        let xc = Matrix::from_fn(xs.rows(), xs.cols(), |i, s| xs[(i, s)] - means[i]);
+        Cholesky::new(&xc.gram()).ok()?;
+        Some(lstsq::ols_with_intercept(&xs, f).unwrap())
+    }
+
+    /// Moment-path fit == data-path fit: coefficients and intercept bit
+    /// for bit, RMS residual within 1e-9 relative.
+    fn assert_same_fit(got: &LinearFit, want: &LinearFit, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(got.coefficients.as_slice()),
+            bits(want.coefficients.as_slice()),
+            "{what}: coefficients"
+        );
+        assert_eq!(bits(&got.intercept), bits(&want.intercept), "{what}: intercept");
+        let (a, b) = (got.rms_residual, want.rms_residual);
+        assert!((a - b).abs() <= 1e-9 * b, "{what}: rms {a:e} vs data {b:e}");
+    }
+
+    #[test]
+    fn moment_refits_bit_equal_data_refits() {
+        forall!(cases = 48, (
+            seed in u64_range(1, u64::MAX - 1),
+            q in usize_range(2, 8),
+            k in usize_range(1, 6),
+            extra in usize_range(2, 60),
+            mask in u64_range(0, u64::MAX - 1),
+            threads in choice(vec![1_usize, 2])
+        ) => {
+            let n = q + extra;
+            let (x, f) = random_training(seed, q, k, n);
+            // Every proper subset of 0..q, drawn from the mask's bits.
+            let excluded: Vec<usize> = (0..q).filter(|&i| mask >> i & 1 == 1).take(q - 1).collect();
+            let survivors: Vec<usize> = (0..q).filter(|i| !excluded.contains(i)).collect();
+            parallel::with_threads(threads, || {
+                let sensors: Vec<usize> = (0..q).collect();
+                let mut ft = FaultTolerantModel::fit(&x, &f, &sensors).unwrap();
+                // Fallback (F) targets: the leave-one-out family and the
+                // lazily solved multi-exclusion refit.
+                for i in 0..q {
+                    let others: Vec<usize> = (0..q).filter(|&j| j != i).collect();
+                    if let Some(want) = data_fit(&x, &f, &others) {
+                        assert_same_fit(ft.leave_one_out(i).unwrap(), &want, "leave-one-out");
+                    }
+                }
+                let readings = vec![0.95; q];
+                ft.predict_excluding(&readings, &excluded).unwrap();
+                if let (Some(got), Some(want)) =
+                    (ft.multi_cache.get(&excluded), data_fit(&x, &f, &survivors))
+                {
+                    assert_same_fit(got, &want, "multi-exclusion");
+                }
+                // Cross (sensor-row) targets over the survivors.
+                if let Some(family) = ft.cross_family(&excluded).unwrap() {
+                    for (local, &target) in family.sensors().iter().enumerate() {
+                        let others: Vec<usize> =
+                            survivors.iter().copied().filter(|&j| j != target).collect();
+                        let row = x.select_rows(&[target]);
+                        if let Some(want) = data_fit(&x, &row, &others) {
+                            assert_same_fit(&family.fits[local], &want, "cross");
+                        }
+                    }
+                }
+            });
+        });
+    }
+
+    #[test]
     fn single_sensor_model_has_no_fallbacks() {
         let (x, f) = training();
         let mut ft = FaultTolerantModel::fit(&x, &f, &[0]).unwrap();
         assert!(ft.leave_one_out(0).is_none());
-        assert!(ft.cross_predict(0, &[0.9]).unwrap().is_none());
+        assert!(ft.cross_family(&[]).unwrap().is_none());
         assert!(ft.cross_rms(0).is_none());
         assert!(matches!(
             ft.predict_excluding(&[0.9], &[0]),
@@ -1155,8 +1248,9 @@ mod tests {
         let mut ft = FaultTolerantModel::fit(&x, &f, &[0, 2]).unwrap();
         assert!(ft.predict_excluding(&[0.9], &[]).is_err());
         assert!(ft.predict_excluding(&[0.9, 0.9], &[5]).is_err());
-        assert!(ft.cross_predict(0, &[0.9]).is_err());
-        assert!(ft.cross_predict(9, &[0.9, 0.9]).is_err());
+        assert!(ft.cross_family(&[9]).is_err());
+        let family = ft.cross_family(&[]).unwrap().unwrap();
+        assert!(family.residuals(&[0.9]).is_err());
     }
 
     #[test]

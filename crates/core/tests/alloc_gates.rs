@@ -4,14 +4,16 @@
 //! same map, so a fleet opens one monitor per chip around one fitted
 //! model. These gates pin that a monitor's model costs it no copy:
 //! cloning a `VoltageMapModel` is a reference-count increment, and
-//! cloning a fault-aware monitor copies only its per-instance state,
-//! never the training matrices its fallback refits keep.
+//! cloning a fault-aware monitor copies only its per-instance state.
+//! The fault-tolerant model itself keeps nothing of size `N`: its
+//! fallback refits solve on a moment block, not on the training data.
 
 voltsense_telemetry::install_counting_allocator!();
 
 use voltsense_core::monitor::{EmergencyMonitor, FaultPolicy};
 use voltsense_core::{FaultTolerantModel, VoltageMapModel};
 use voltsense_linalg::Matrix;
+use voltsense_parallel as parallel;
 use voltsense_telemetry::alloc_gate;
 use voltsense_telemetry::profile;
 
@@ -53,4 +55,28 @@ fn fault_aware_monitor_clone_copies_no_training_data() {
     let budget = (k * n * 8 / 100) as u64;
     assert!(copied < budget, "monitor clone allocated {copied} bytes, budget {budget}");
     assert!(clone.model().shares_params(monitor.model()));
+}
+
+#[test]
+fn fault_tolerant_model_retains_nothing_of_size_n() {
+    let (q_candidates, k) = (12, 240);
+    let sensors = [0, 3, 6, 9];
+    // Bytes a fitted model keeps: allocated minus freed on this thread
+    // while fitting, with the training matrices built before and dropped
+    // after. One thread keeps every allocation on the counted thread.
+    let retained = |n: usize| -> u64 {
+        let (x, f) = training(q_candidates, k, n);
+        parallel::with_threads(1, || {
+            let _window = profile::enable_counting();
+            let (alloc_before, _, freed_before, _) = profile::thread_alloc_totals();
+            let model = std::hint::black_box(FaultTolerantModel::fit(&x, &f, &sensors).unwrap());
+            let (alloc_after, _, freed_after, _) = profile::thread_alloc_totals();
+            drop(model);
+            (alloc_after - alloc_before) - (freed_after - freed_before)
+        })
+    };
+    // Warm any lazily initialised process state first.
+    retained(50);
+    let (small, large) = (retained(500), retained(5_000));
+    assert_eq!(small, large, "a model fitted on 10× the samples keeps more bytes");
 }

@@ -9,6 +9,10 @@
 //! the normal equations by Cholesky; if the Gram matrix is numerically
 //! indefinite/singular (collinear predictors), it falls back to Householder
 //! QR on the centered design, and as a last resort adds a tiny ridge.
+//!
+//! The data enter that solve only through centred second moments, so
+//! [`Moments`] keeps those (and no `N`-length matrix) and refits any
+//! subset of the predictors with the same normal-equation step.
 
 use voltsense_parallel as parallel;
 
@@ -102,23 +106,8 @@ impl LinearFit {
 /// # }
 /// ```
 pub fn ols_with_intercept(x: &Matrix, f: &Matrix) -> Result<LinearFit, LinalgError> {
-    let (p, n) = x.shape();
-    let (k, nf) = f.shape();
-    if n != nf {
-        return Err(LinalgError::ShapeMismatch {
-            op: "ols sample count",
-            left: x.shape(),
-            right: f.shape(),
-        });
-    }
-    if n == 0 || p == 0 || k == 0 {
-        return Err(LinalgError::InvalidDimensions {
-            what: format!("ols requires non-empty data, got X {p}x{n}, F {k}x{nf}"),
-        });
-    }
-    if !x.is_finite() || !f.is_finite() {
-        return Err(LinalgError::NonFinite { what: "ols input" });
-    }
+    check_inputs(x, f)?;
+    let (k, n) = f.shape();
 
     // Center both sides.
     let x_means = stats::row_means(x);
@@ -128,34 +117,16 @@ pub fn ols_with_intercept(x: &Matrix, f: &Matrix) -> Result<LinearFit, LinalgErr
 
     // Normal equations: α X̄ X̄ᵀ = F̄ X̄ᵀ  =>  solve the SPD system
     // G αᵀ = (F̄ X̄ᵀ)ᵀ where G = X̄ X̄ᵀ is symmetric.
-    let mut gram = xc.gram();
+    let gram = xc.gram();
     let fxt = fc.matmul_t(&xc)?; // K x P
 
-    let alpha = match Cholesky::new(&gram) {
-        Ok(chol) => {
-            // Solve G aᵀ_row = fxt_row for each output row.
-            let at = chol.solve_matrix(&fxt.transpose())?; // P x K
-            at.transpose()
-        }
-        Err(_) => {
-            // Collinear predictors: try QR on the centered design X̄ᵀ (N x P).
-            match Qr::new(&xc.transpose()) {
-                Ok(qr) => match qr.solve_least_squares_matrix(&fc.transpose()) {
-                    Ok(at) => at.transpose(),
-                    Err(_) => ridge_fallback(&mut gram, &fxt, p)?,
-                },
-                Err(_) => ridge_fallback(&mut gram, &fxt, p)?,
-            }
-        }
+    // Collinear predictors: try QR on the centered design X̄ᵀ (N x P).
+    let qr = || {
+        let qr = Qr::new(&xc.transpose()).ok()?;
+        let at = qr.solve_least_squares_matrix(&fc.transpose()).ok()?;
+        Some(at.transpose())
     };
-
-    // Intercept: c = mean(F) − α mean(X).
-    let alpha_mx = alpha.matvec(&x_means)?;
-    let intercept: Vec<f64> = f_means
-        .iter()
-        .zip(&alpha_mx)
-        .map(|(fm, am)| fm - am)
-        .collect();
+    let (alpha, intercept) = solve_normal(gram, &fxt, &x_means, &f_means, qr)?;
 
     // Residual on the training data.
     let mut resid = alpha.matmul(x)?;
@@ -174,16 +145,187 @@ pub fn ols_with_intercept(x: &Matrix, f: &Matrix) -> Result<LinearFit, LinalgErr
     })
 }
 
+/// The checks [`ols_with_intercept`] and [`Moments::new`] share.
+fn check_inputs(x: &Matrix, f: &Matrix) -> Result<(), LinalgError> {
+    let (p, n) = x.shape();
+    let (k, nf) = f.shape();
+    if n != nf {
+        return Err(LinalgError::ShapeMismatch {
+            op: "ols sample count",
+            left: x.shape(),
+            right: f.shape(),
+        });
+    }
+    if n == 0 || p == 0 || k == 0 {
+        return Err(LinalgError::InvalidDimensions {
+            what: format!("ols requires non-empty data, got X {p}x{n}, F {k}x{nf}"),
+        });
+    }
+    if !x.is_finite() || !f.is_finite() {
+        return Err(LinalgError::NonFinite { what: "ols input" });
+    }
+    Ok(())
+}
+
+/// The one normal-equation solve: `α · sxx = sfx` by Cholesky, else the
+/// caller's `collinear` fallback (`None` when it has none), else a tiny
+/// ridge; then the intercept `c = mean(F) − α mean(X)`.
+fn solve_normal(
+    mut sxx: Matrix,
+    sfx: &Matrix,
+    x_means: &[f64],
+    f_means: &[f64],
+    collinear: impl FnOnce() -> Option<Matrix>,
+) -> Result<(Matrix, Vec<f64>), LinalgError> {
+    let alpha = match Cholesky::new(&sxx) {
+        // Solve G aᵀ_row = sfx_row for each output row.
+        Ok(chol) => chol.solve_matrix(&sfx.transpose())?.transpose(),
+        Err(_) => match collinear() {
+            Some(alpha) => alpha,
+            None => ridge_fallback(&mut sxx, sfx)?,
+        },
+    };
+    let alpha_mx = alpha.matvec(x_means)?;
+    let intercept = f_means.iter().zip(&alpha_mx).map(|(fm, am)| fm - am).collect();
+    Ok((alpha, intercept))
+}
+
 /// Last-resort path for degenerate designs: a tiny relative ridge makes the
 /// Gram matrix SPD; the resulting fit is the minimum-norm-ish solution.
-fn ridge_fallback(gram: &mut Matrix, fxt: &Matrix, p: usize) -> Result<Matrix, LinalgError> {
+fn ridge_fallback(gram: &mut Matrix, fxt: &Matrix) -> Result<Matrix, LinalgError> {
     let bump = gram.max_abs().max(1.0) * 1e-10;
-    for i in 0..p {
+    for i in 0..gram.rows() {
         gram[(i, i)] += bump;
     }
     let chol = Cholesky::new(gram)?;
     let at = chol.solve_matrix(&fxt.transpose())?;
     Ok(at.transpose())
+}
+
+/// The centred second moments of an OLS problem (`X: P x N` predictors,
+/// `F: K x N` responses): the row means of both, `Sxx = X̄ X̄ᵀ`
+/// (`P x P`), `Sfx = F̄ X̄ᵀ` (`K x P`), each response's `Σ f̄²` and `N`.
+/// That is all the normal equations read of the data, in `O(P² + KP)`
+/// numbers whatever `N` is.
+///
+/// A sub-block of these moments is the moments of a sub-problem, so an
+/// OLS refit on any subset of the predictors — with `F` as the response
+/// ([`Moments::fit`]) or with another predictor as the response
+/// ([`Moments::fit_predictor`]) — is a gather plus the normal-equation
+/// step [`ols_with_intercept`] runs. Whenever that step's Cholesky factor
+/// exists, the coefficients and intercept carry exactly the bits
+/// `ols_with_intercept` gives on the selected rows of `X`: every entry of
+/// `Sxx` and `Sfx` is its own lane-identity dot of two centred rows,
+/// whichever matrix it was formed in. Two things differ, because they
+/// need the data:
+///
+/// * collinear predictors go straight to the ridge fallback (no QR);
+/// * the RMS residual is `√(max(0, Σ f̄² − tr(α Sfxᵀ)) / (K N))`, which
+///   is the data residual at the OLS solution up to the rounding of that
+///   difference (relative error about `ε · Σ f̄² / Σ r²`).
+#[derive(Debug)]
+pub struct Moments {
+    x_means: Vec<f64>,
+    f_means: Vec<f64>,
+    sxx: Matrix,
+    sfx: Matrix,
+    /// `Σ_s (f_ks − f̄_k)²` per response `k`: the diagonal of `F̄ F̄ᵀ`.
+    ff: Vec<f64>,
+    n: usize,
+}
+
+impl Moments {
+    /// Forms the moments with one `gram` and one `matmul_t`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ols_with_intercept`].
+    pub fn new(x: &Matrix, f: &Matrix) -> Result<Self, LinalgError> {
+        check_inputs(x, f)?;
+        let x_means = stats::row_means(x);
+        let f_means = stats::row_means(f);
+        let xc = centered(x, &x_means);
+        let fc = centered(f, &f_means);
+        let sxx = xc.gram();
+        let sfx = fc.matmul_t(&xc)?;
+        let ff = (0..fc.rows())
+            .map(|k| fc.row(k).iter().map(|v| v * v).sum())
+            .collect();
+        Ok(Moments {
+            x_means,
+            f_means,
+            sxx,
+            sfx,
+            ff,
+            n: x.cols(),
+        })
+    }
+
+    /// Number of predictors `P`.
+    pub fn num_predictors(&self) -> usize {
+        self.sxx.rows()
+    }
+
+    /// OLS of every response on the `predictors` (row positions into
+    /// `X`, ascending, as `select_rows` would take them).
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::InvalidDimensions`] for an empty or out-of-range
+    /// predictor list; propagates a failed ridge factorisation.
+    pub fn fit(&self, predictors: &[usize]) -> Result<LinearFit, LinalgError> {
+        self.check(predictors)?;
+        let sfx = self.sfx.select_cols(predictors);
+        let ff = self.ff.iter().sum();
+        self.solve(predictors, &sfx, &self.f_means, ff)
+    }
+
+    /// OLS of predictor `target` (a row of `X`) on the `predictors`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Moments::fit`], and for an out-of-range `target`.
+    pub fn fit_predictor(
+        &self,
+        target: usize,
+        predictors: &[usize],
+    ) -> Result<LinearFit, LinalgError> {
+        self.check(predictors)?;
+        self.check(&[target])?;
+        let sfx = Matrix::from_fn(1, predictors.len(), |_, j| self.sxx[(target, predictors[j])]);
+        let ff = self.sxx[(target, target)];
+        self.solve(predictors, &sfx, &[self.x_means[target]], ff)
+    }
+
+    fn check(&self, predictors: &[usize]) -> Result<(), LinalgError> {
+        let p = self.num_predictors();
+        if predictors.is_empty() || predictors.iter().any(|&i| i >= p) {
+            return Err(LinalgError::InvalidDimensions {
+                what: format!("predictor list {predictors:?} is empty or outside 0..{p}"),
+            });
+        }
+        Ok(())
+    }
+
+    fn solve(
+        &self,
+        predictors: &[usize],
+        sfx: &Matrix,
+        f_means: &[f64],
+        ff: f64,
+    ) -> Result<LinearFit, LinalgError> {
+        let p = predictors.len();
+        let sxx = Matrix::from_fn(p, p, |a, b| self.sxx[(predictors[a], predictors[b])]);
+        let x_means: Vec<f64> = predictors.iter().map(|&i| self.x_means[i]).collect();
+        let (alpha, intercept) = solve_normal(sxx, sfx, &x_means, f_means, || None)?;
+        let explained: f64 = alpha.as_slice().iter().zip(sfx.as_slice()).map(|(a, s)| a * s).sum();
+        let rms_residual = ((ff - explained).max(0.0) / (f_means.len() * self.n) as f64).sqrt();
+        Ok(LinearFit {
+            coefficients: alpha,
+            intercept,
+            rms_residual,
+        })
+    }
 }
 
 /// `x − μ` row by row, written straight into one fresh matrix (row
@@ -276,6 +418,25 @@ mod tests {
         let fit = ols_with_intercept(&x, &f).unwrap();
         let pred = fit.predict_matrix(&x).unwrap();
         assert!(pred.approx_eq(&f, 1e-6));
+    }
+
+    #[test]
+    fn moments_refit_the_data_fit_and_reject_bad_predictor_lists() {
+        let x = Matrix::from_rows(&[
+            &[1.0, -1.0, 2.0, 0.5, -0.3, 1.7],
+            &[0.2, 0.9, -1.1, 0.4, 2.0, -0.6],
+        ])
+        .unwrap();
+        let f = Matrix::from_rows(&[&[1.0, 0.0, 2.0, -1.0, 0.5, 0.7]]).unwrap();
+        let moments = Moments::new(&x, &f).unwrap();
+        let (got, want) = (moments.fit(&[0, 1]).unwrap(), ols_with_intercept(&x, &f).unwrap());
+        assert_eq!(got.coefficients, want.coefficients);
+        assert_eq!(got.intercept, want.intercept);
+        assert!((got.rms_residual - want.rms_residual).abs() < 1e-12);
+        for bad in [&[][..], &[2], &[0, 5]] {
+            assert!(matches!(moments.fit(bad), Err(LinalgError::InvalidDimensions { .. })));
+        }
+        assert!(moments.fit_predictor(2, &[0]).is_err());
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! One shared parser for every `VOLTSENSE_*` / `TESTKIT_*` environment knob.
 //!
-//! Historically each crate parsed its own flags (`TESTKIT_BENCH_FAST`
-//! required the literal `"1"`, `VOLTSENSE_SCALE` accepted named values).
-//! All knobs now accept the same bool-ish spellings: `1`/`true`/`on`/`yes`
+//! Every bool-ish knob accepts the same spellings: `1`/`true`/`on`/`yes`
 //! enable, `0`/`false`/`off`/`no` disable, matched case-insensitively.
 
 use std::path::PathBuf;
@@ -34,17 +32,13 @@ pub fn is_falsy(v: &str) -> bool {
     )
 }
 
-/// Bool-ish flag: true iff the variable is set to a truthy spelling.
-pub fn flag(name: &str) -> bool {
-    value(name).is_some_and(|v| is_truthy(&v))
-}
-
 /// Parse a typed knob (e.g. a sample count); `None` if unset or unparsable.
 pub fn parse<T: std::str::FromStr>(name: &str) -> Option<T> {
     value(name)?.parse().ok()
 }
 
-/// Directory for generated artifacts (bench reports, telemetry exports).
+/// Directory for generated artifacts (experiment reports, telemetry
+/// exports).
 ///
 /// `TESTKIT_RESULTS_DIR` wins if set; otherwise walk up from the running
 /// crate's manifest (or the current directory) looking for an existing

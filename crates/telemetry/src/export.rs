@@ -1,6 +1,6 @@
 //! Immutable snapshots of a capture and the three exporters: JSON snapshot
-//! (`voltsense-metrics-v1` schema, shared with `testkit::BenchTimer`
-//! reports), Chrome trace-event file, and a plain-text summary table.
+//! (`voltsense-metrics-v1` schema), Chrome trace-event file, and a
+//! plain-text summary table.
 
 /// Percentile summary of one histogram.
 #[derive(Debug, Clone)]
